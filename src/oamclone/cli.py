@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,7 +34,24 @@ class ConfigValidationError(Exception):
 
 
 def _positive(x):
-    return x > 0
+    return 0 < x < math.inf
+
+
+def _finite(constraint=None):
+    """Spec of a float key: a number with a finite float value that ``constraint``
+    accepts.  NaN fails every comparison; infinities and huge ints fail the first."""
+    return (int, float), lambda v: (abs(v) <= sys.float_info.max
+                                    and (constraint is None or constraint(v)))
+
+
+# Upper bounds on the sizes a config controls, with the compute time at the
+# bound (2-core Xeon, Python 3.11, numpy 2.4):
+MAX_D = 24  # qudit d = 1..24 in 1.8 s; the time grows about as d^3.5
+MAX_DELAY_STEPS = 100_000  # 4.3 us per delay: 0.43 s and a 5 MB CSV
+MAX_STOKES_STATES = 60  # ten passes over the six states
+MAX_STOKES_RUNS = 1_000  # 0.48 ms per run and state: 29 s for 60 states
+MAX_COUNTS_PER_BASIS = 10 ** 9  # a Poisson draw costs the same at any mean
+MAX_ANCILLA_SAMPLES = 100_000  # 0.17 ms per sampled ancilla: 17 s
 
 
 DEFAULTS = {
@@ -78,27 +96,28 @@ _SCHEMA = {
     "seed": (int, lambda v: 0 <= v < 2 ** 64),
     "hom.state_a": (str, None),
     "hom.state_b": (str, None),
-    "hom.delay_min_um": ((int, float), None),
-    "hom.delay_max_um": ((int, float), None),
-    "hom.delay_steps": (int, lambda v: v >= 1),
-    "hom.wavelength_nm": ((int, float), _positive),
-    "hom.bandwidth_nm": ((int, float), _positive),
+    "hom.delay_min_um": _finite(),
+    "hom.delay_max_um": _finite(),
+    "hom.delay_steps": (int, lambda v: 1 <= v <= MAX_DELAY_STEPS),
+    "hom.wavelength_nm": _finite(_positive),
+    "hom.bandwidth_nm": _finite(_positive),
     "clone.input": (str, None),
-    "clone.ancilla_samples": ((int, type(None)), lambda v: v is None or v >= 1),
+    "clone.ancilla_samples": ((int, type(None)),
+                              lambda v: v is None or 1 <= v <= MAX_ANCILLA_SAMPLES),
     "qudit.d_min": (int, lambda v: v >= 1),
-    "qudit.d_max": (int, lambda v: v >= 1),
-    "experiment.duration_s": ((int, float), lambda v: v >= 0),
-    "experiment.f_prep": ((int, float), lambda v: 0.5 <= v <= 1.0),
-    "experiment.enhancement": ((int, float), lambda v: 1.0 <= v <= 2.0),
-    "experiment.source_rate_hz": ((int, float), _positive),
-    "experiment.qplate_efficiency": ((int, float), lambda v: 0.0 <= v <= 1.0),
-    "experiment.transferrer_success": ((int, float), lambda v: 0.0 <= v <= 1.0),
-    "experiment.coupling_min": ((int, float), lambda v: 0.0 <= v <= 1.0),
-    "experiment.coupling_max": ((int, float), lambda v: 0.0 <= v <= 1.0),
-    "experiment.coupling": ((int, float), lambda v: 0.0 <= v <= 1.0),
-    "stokes.states": (list, None),
-    "stokes.counts_per_basis": (int, lambda v: v >= 1),
-    "stokes.runs": (int, lambda v: v >= 1),
+    "qudit.d_max": (int, lambda v: 1 <= v <= MAX_D),
+    "experiment.duration_s": _finite(lambda v: v >= 0),
+    "experiment.f_prep": _finite(lambda v: 0.5 <= v <= 1.0),
+    "experiment.enhancement": _finite(lambda v: 1.0 <= v <= 2.0),
+    "experiment.source_rate_hz": _finite(_positive),
+    "experiment.qplate_efficiency": _finite(lambda v: 0.0 <= v <= 1.0),
+    "experiment.transferrer_success": _finite(lambda v: 0.0 <= v <= 1.0),
+    "experiment.coupling_min": _finite(lambda v: 0.0 <= v <= 1.0),
+    "experiment.coupling_max": _finite(lambda v: 0.0 <= v <= 1.0),
+    "experiment.coupling": _finite(lambda v: 0.0 <= v <= 1.0),
+    "stokes.states": (list, lambda v: 1 <= len(v) <= MAX_STOKES_STATES),
+    "stokes.counts_per_basis": (int, lambda v: 1 <= v <= MAX_COUNTS_PER_BASIS),
+    "stokes.runs": (int, lambda v: 1 <= v <= MAX_STOKES_RUNS),
 }
 
 
@@ -172,7 +191,7 @@ def _write_json(path: Path, scenario, config, results):
         "config": config,
         "results": results,
     }
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _hom_states(cfg):
@@ -265,6 +284,8 @@ def run_experiment(config, out_dir, want_svg):
         "rate_interval_hz": [lo, hi],
         "rate_hz": budget.rate(budget.default_coupling),
     }
+    if report.mean_fidelity is None:
+        results["reason"] = "no state got coincidence counts; raise experiment.duration_s"
     _write_json(out_dir / "experiment.json", "experiment", config, results)
     if want_svg:
         (out_dir / "experiment.svg").write_text(svgplot.line_plot(
@@ -363,7 +384,7 @@ def main(argv=None) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.scenario == "validate":
-        print(json.dumps(config, sort_keys=True, indent=2))
+        print(json.dumps(config, sort_keys=True, indent=2, allow_nan=False))
         return 0
     try:
         args.out_dir.mkdir(parents=True, exist_ok=True)

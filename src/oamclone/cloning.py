@@ -9,12 +9,11 @@ two thirds of the input one.
 
 Two independent routes compute the channel: ``run_cloner_full`` evolves the
 two-photon state through the beam-splitter unitary, ``run_cloner_projector``
-applies the Bell-exchange projector onto the coalesced port directly.
+projects the input (x) ancilla pair on the symmetric subspace (numpy only).
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -28,9 +27,9 @@ from .fock import (
     InvalidStateError,
     ModeIndex,
     PhotonState,
-    TwoPhotonState,
     build_basis,
 )
+from .qudit import symmetric_subspace_clone
 
 OAM_PLUS = 2
 OAM_MINUS = -2
@@ -69,11 +68,6 @@ class QubitSpec:
                 raise InvalidStateError("zero qubit amplitudes")
             self.alpha /= nrm
             self.beta /= nrm
-
-    @classmethod
-    def from_bloch(cls, theta: float, phi: float) -> "QubitSpec":
-        return cls(math.cos(theta / 2.0),
-                   cmath.exp(1j * phi) * math.sin(theta / 2.0))
 
     @classmethod
     def named(cls, label: str) -> "QubitSpec":
@@ -138,7 +132,7 @@ def stokes_vector(rho: np.ndarray) -> np.ndarray:
     return np.array([np.real(np.trace(rho @ PAULI[ax])) for ax in "xyz"])
 
 
-def _extract_o2(rho1: DensityOperator, path: str = "a_prime") -> np.ndarray:
+def _extract_o2(rho1: DensityOperator, path: str) -> np.ndarray:
     basis = rho1.basis
     idx = [basis.index(ModeIndex(path, _POL, OAM_PLUS)),
            basis.index(ModeIndex(path, _POL, OAM_MINUS))]
@@ -192,7 +186,6 @@ def run_cloner_full(qubit: QubitSpec, n_ancilla_samples: int | None = None,
     basis = cloner_basis()
     bs = _cloner_bs()
     psi_a = embed_qubit(qubit, basis, "a")
-    modes = basis.modes
     ensemble = ([(ancilla, 1.0)] if ancilla is not None
                 else _ancilla_states(n_ancilla_samples, seed))
     branches = []
@@ -200,8 +193,7 @@ def run_cloner_full(qubit: QubitSpec, n_ancilla_samples: int | None = None,
         psi_b = embed_qubit(chi, basis, "b")
         two = fock.symmetrize_product(psi_a, psi_b)
         out = elements.apply(bs, two)
-        kept, prob = fock.project_keys(
-            out, lambda i, j: modes[i].path == port and modes[j].path == port)
+        kept, prob = fock.project_keys(out, port)
         rho = _extract_o2(fock.reduced_single_pure(kept), path=port)
         if port == "b_prime":
             # the input photon reaches b' by reflection; undo the known OAM flip
@@ -210,91 +202,20 @@ def run_cloner_full(qubit: QubitSpec, n_ancilla_samples: int | None = None,
     return _assemble(branches, qubit)
 
 
-def bell_basis(basis, paths=("a", "b"), pol=_POL, oam_pair=(OAM_PLUS, OAM_MINUS)):
-    """The four Bell states of the o2 pair on the given path pair.
-
-    Returns (phi_plus, phi_minus, psi_plus, psi_minus).  For a same-path
-    (coalesced) pair the antisymmetric psi_minus has no bosonic
-    representation and is returned as None.
-    """
-    pa, pb = paths
-    plus, minus = oam_pair
-    same = pa == pb
-
-    def two(terms):
-        amps = {}
-        for (ma, mb), amp in terms:
-            i = basis.index(ModeIndex(pa, pol, ma))
-            j = basis.index(ModeIndex(pb, pol, mb))
-            key = (min(i, j), max(i, j))
-            amps[key] = amps.get(key, 0.0) + amp
-        amps = {k: a for k, a in amps.items() if abs(a) > 1e-15}
-        state = TwoPhotonState(basis, amps)
-        nrm = state.norm()
-        if nrm < 1e-15:
-            return None
-        return TwoPhotonState(basis, {k: a / nrm for k, a in amps.items()})
-
-    inv = 1.0 / math.sqrt(2.0)
-    phi_plus = two([((plus, plus), inv), ((minus, minus), inv)])
-    phi_minus = two([((plus, plus), inv), ((minus, minus), -inv)])
-    if same:
-        # |+2>|-2> and |-2>|+2> collapse onto one bosonic key
-        psi_plus = two([((plus, minus), 1.0)])
-        psi_minus = None
-    else:
-        psi_plus = two([((plus, minus), inv), ((minus, plus), inv)])
-        psi_minus = two([((plus, minus), inv), ((minus, plus), -inv)])
-    return phi_plus, phi_minus, psi_plus, psi_minus
-
-
-# amplitude carried by each both-in-a' branch of the balanced splitter
-_PROJECTOR_SCALE = 1.0 / math.sqrt(2.0)
-
-
-def coalescence_projector(two_ab: TwoPhotonState) -> TwoPhotonState:
-    """Apply the Bell-exchange projector mapping the ab pair onto the a' port.
-
-    The projector swaps the symmetric Bell states Phi+ <-> Psi+ and maps
-    Psi- -> Phi-, encoding the OAM sign inversion on reflection; the overall
-    1/sqrt(2) amplitude reproduces the physical post-selection probability
-    of the balanced splitter.
-    """
-    basis = two_ab.basis
-    ab = bell_basis(basis, ("a", "b"))
-    aa = bell_basis(basis, ("a_prime", "a_prime"))
-    pairs = [(aa[2], ab[0]),   # |Psi+><Phi+|
-             (aa[0], ab[2]),   # |Phi+><Psi+|
-             (aa[1], ab[3])]   # |Phi-><Psi-|
-    amps = {}
-    for out_state, in_state in pairs:
-        coeff = _PROJECTOR_SCALE * in_state.inner(two_ab)
-        if abs(coeff) < 1e-15:
-            continue
-        for k, a in out_state.amplitudes.items():
-            amps[k] = amps.get(k, 0.0) + coeff * a
-    prob = sum(abs(a) ** 2 for a in amps.values())
-    if prob < 1e-30:
-        return TwoPhotonState(basis, {}, 0.0)
-    scale = 1.0 / math.sqrt(prob)
-    return TwoPhotonState(basis, {k: a * scale for k, a in amps.items()},
-                          two_ab.weight * prob)
-
-
 def run_cloner_projector(qubit: QubitSpec, n_ancilla_samples: int | None = None,
                          seed: int | None = None) -> CloneResult:
-    """Clone via the coalesced-port Bell projector (independent route)."""
-    basis = cloner_basis()
-    psi_a = embed_qubit(qubit, basis, "a")
-    branches = []
-    for ancilla, w in _ancilla_states(n_ancilla_samples, seed):
-        psi_b = embed_qubit(ancilla, basis, "b")
-        two = fock.symmetrize_product(psi_a, psi_b)
-        kept = coalescence_projector(two)
-        prob = kept.weight / two.weight
-        rho = _extract_o2(fock.reduced_single_pure(kept))
-        branches.append((rho, w, prob))
-    return _assemble(branches, qubit)
+    """Clone via Werner's symmetric-subspace projection (independent route).
+
+    The ancilla reaches a' by reflection, which flips its OAM sign, so the
+    pair there is projected from rho (x) X sigma X; half of the coalescing
+    pairs exit in a'.
+    """
+    sigma = sum(w * _FLIP @ np.outer(chi.vector(), chi.vector().conj()) @ _FLIP
+                for chi, w in _ancilla_states(n_ancilla_samples, seed))
+    target = qubit.vector()
+    clone, p = symmetric_subspace_clone(np.outer(target, target.conj()), sigma)
+    fidelity = float(np.real(target.conj() @ clone @ target))
+    return CloneResult(clone, p / 2.0, fidelity, stokes_vector(clone))
 
 
 def clone_with_preparation_infidelity(qubit: QubitSpec, f_prep: float,

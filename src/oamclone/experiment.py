@@ -151,7 +151,7 @@ def simulate_counts(input_qubit: QubitSpec, model: ImperfectionModel,
 @dataclass
 class TableOneReport:
     rows: list  # (label, c1, c2, f_exp, sigma)
-    mean_fidelity: float
+    mean_fidelity: float | None  # over the states that got counts; None if none did
     predicted: float
 
 
@@ -164,8 +164,10 @@ def table_one_run(model: ImperfectionModel, budget: LossBudget,
     for label, sub in zip(TABLE_ONE_STATES, seeds):
         rec = simulate_counts(QubitSpec.named(label), model, budget, duration_s, sub)
         rows.append((label, rec.c1, rec.c2, rec.f_exp, rec.poisson_error))
-        fids.append(rec.f_exp)
-    return TableOneReport(rows, float(np.mean(fids)), predicted_fidelity(model))
+        if rec.total:
+            fids.append(rec.f_exp)
+    mean = float(np.mean(fids)) if fids else None
+    return TableOneReport(rows, mean, predicted_fidelity(model))
 
 
 @dataclass

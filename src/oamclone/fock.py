@@ -100,9 +100,6 @@ class ModeBasis:
         n = self.size
         return [(i, j) for i in range(n) for j in range(i, n)]
 
-    def modes_on_path(self, path):
-        return [i for i, m in enumerate(self.modes) if m.path == path]
-
 
 def build_basis(paths, oam_set=DEFAULT_OAM_SET, pols=POLS) -> ModeBasis:
     """Enumerate all (path, pol, oam) combinations.
@@ -249,14 +246,16 @@ def symmetrize_product(psi_a: PhotonState, psi_b: PhotonState) -> TwoPhotonState
     return TwoPhotonState(psi_a.basis, {k: a / norm for k, a in amps.items() if abs(a / norm) > 1e-15})
 
 
-def project_keys(state: TwoPhotonState, keep) -> tuple:
-    """Project a two-photon state onto the keys selected by ``keep(i, j)``.
+def project_keys(state: TwoPhotonState, path: str) -> tuple:
+    """Post-select the runs where both photons exit on ``path``.
 
     Returns (normalized projected state, success probability relative to the
     input).  The projected state's weight accumulates the input weight times
     the success probability.
     """
-    kept = {k: a for k, a in state.amplitudes.items() if keep(*k)}
+    modes = state.basis.modes
+    kept = {(i, j): a for (i, j), a in state.amplitudes.items()
+            if modes[i].path == path and modes[j].path == path}
     prob = sum(abs(a) ** 2 for a in kept.values())
     if prob < 1e-30:
         return TwoPhotonState(state.basis, {}, 0.0), 0.0

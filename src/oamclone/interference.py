@@ -72,9 +72,7 @@ def internal_overlap(psi_a: PhotonState, psi_b: PhotonState) -> float:
     two = fock.symmetrize_product(psi_a, psi_b)
     bs = elements.beam_splitter(psi_a.basis)
     out = elements.apply(bs, two)
-    modes = psi_a.basis.modes
-    _, prob = fock.project_keys(
-        out, lambda i, j: modes[i].path == "a_prime" and modes[j].path == "a_prime")
+    _, prob = fock.project_keys(out, "a_prime")
     mu = 4.0 * prob - 1.0
     return min(max(mu, 0.0), 1.0)
 

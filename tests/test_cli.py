@@ -1,12 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oamclone
+from oamclone import cli
 from oamclone.cli import main, validate_config, ConfigValidationError
 
 # The directory that holds the oamclone package this test process imported.
@@ -22,6 +25,27 @@ def child_env():
         [str(PACKAGE_ROOT)]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return env
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON number {token}")
+
+
+def strict_json(text):
+    """Parse JSON as RFC 8259 does: NaN and Infinity are errors."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+FLOAT_KEYS = [key for key, (types, _) in cli._SCHEMA.items()
+              if isinstance(types, tuple) and float in types]
+
+SIZE_BOUNDS = {
+    "qudit.d_max": cli.MAX_D,
+    "hom.delay_steps": cli.MAX_DELAY_STEPS,
+    "stokes.runs": cli.MAX_STOKES_RUNS,
+    "stokes.counts_per_basis": cli.MAX_COUNTS_PER_BASIS,
+    "clone.ancilla_samples": cli.MAX_ANCILLA_SAMPLES,
+}
 
 
 def run_cli(args, cwd):
@@ -69,6 +93,48 @@ class TestConfigValidation:
     def test_unknown_state_label(self):
         with pytest.raises(ConfigValidationError):
             validate_config({"clone": {"input": "sideways"}})
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(FLOAT_KEYS), value=st.floats())
+    def test_accepted_float_values_are_finite_and_in_range(self, key, value):
+        section, _, sub = key.partition(".")
+        try:
+            cfg = validate_config({section: {sub: value}})
+        except ConfigValidationError:
+            return
+        _, constraint = cli._SCHEMA[key]
+        assert math.isfinite(cfg[section][sub]) and constraint(cfg[section][sub])
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_exits_3_and_writes_nothing(key, tmp_path):
+    section, _, sub = key.partition(".")
+    for value in (".nan", ".inf", "-.inf"):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{section}:\n  {sub}: {value}\n")
+        out = tmp_path / "out"
+        assert main([section, "--config", str(cfg), "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("key", sorted(SIZE_BOUNDS))
+def test_size_above_its_bound_exits_3(key, tmp_path):
+    section, _, sub = key.partition(".")
+    bound = SIZE_BOUNDS[key]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"{section}:\n  {sub}: {bound + 1}\n")
+    assert main(["validate", "--config", str(cfg)]) == 3
+    cfg.write_text(f"{section}:\n  {sub}: {bound}\n")
+    assert main(["validate", "--config", str(cfg)]) == 0
+
+
+def test_stokes_state_list_must_be_nonempty_and_bounded(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    for states in ([], ["h"] * (cli.MAX_STOKES_STATES + 1)):
+        cfg.write_text(json.dumps({"stokes": {"states": states}}))
+        assert main(["validate", "--config", str(cfg)]) == 3
+    cfg.write_text(json.dumps({"stokes": {"states": ["h"] * cli.MAX_STOKES_STATES}}))
+    assert main(["validate", "--config", str(cfg)]) == 0
 
 
 class TestExitCodes:
@@ -167,6 +233,15 @@ class TestScenarios:
         assert doc["results"]["mean_length"] == pytest.approx(2.0 / 3.0, abs=0.05)
         lines = (out / "stokes.csv").read_text().splitlines()
         assert len(lines) == 1 + 6 * 5
+
+    def test_experiment_without_counts_writes_strict_json(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("experiment:\n  duration_s: 0\n")
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        res = strict_json((out / "experiment.json").read_text())["results"]
+        assert res["mean_fidelity"] is None
+        assert "duration_s" in res["reason"]
 
     def test_runs_are_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -6,9 +6,7 @@ import pytest
 from oamclone import cloning
 from oamclone.cloning import (
     QubitSpec,
-    bell_basis,
     clone_with_preparation_infidelity,
-    cloner_basis,
     haar_random_qubit,
     run_cloner_full,
     run_cloner_projector,
@@ -42,25 +40,6 @@ class TestQubitSpec:
             QubitSpec.named("x")
 
 
-class TestBellBasis:
-    def test_orthonormal_on_distinct_paths(self):
-        basis = cloner_basis()
-        states = bell_basis(basis, paths=("a", "b"))
-        vecs = [s for s in states if s is not None]
-        assert len(vecs) == 4
-        for i, u in enumerate(vecs):
-            for j, v in enumerate(vecs):
-                want = 1.0 if i == j else 0.0
-                assert abs(u.inner(v) - want) < 1e-12
-
-    def test_same_path_psi_minus_vanishes(self):
-        basis = cloner_basis()
-        phi_p, phi_m, psi_p, psi_m = bell_basis(basis, paths=("a_prime", "a_prime"))
-        assert psi_m is None
-        for s in (phi_p, phi_m, psi_p):
-            assert abs(s.norm() - 1.0) < 1e-12
-
-
 class TestOptimalCloning:
     def test_fidelity_five_sixths_full_route(self):
         for label in ("plus2", "minus2", "h", "v", "a", "d"):
@@ -83,6 +62,18 @@ class TestOptimalCloning:
             assert np.allclose(full.clone_density, proj.clone_density, atol=1e-12)
             assert full.success_probability == pytest.approx(
                 proj.success_probability, abs=1e-12)
+
+    def test_routes_agree_with_sampled_ancillas_on_both_ports(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 7, 1000):
+            q = haar_random_qubit(rng)
+            proj = run_cloner_projector(q, n, seed=n)
+            for port in ("a_prime", "b_prime"):
+                full = run_cloner_full(q, n, seed=n, port=port)
+                assert np.allclose(full.clone_density, proj.clone_density,
+                                   rtol=0, atol=1e-12)
+                assert full.success_probability == pytest.approx(
+                    proj.success_probability, abs=1e-12)
 
     def test_clone_density_for_eigenstate_input(self):
         res = run_cloner_full(QubitSpec.named("plus2"))

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from oamclone import cloning, elements, fock
 from oamclone.fock import ConfigurationError
 from oamclone.qudit import (
     QuditSpec,
     ancilla_basis,
     brute_force_oracle,
-    case_probabilities,
     qudit_clone,
     qudit_formula,
+    symmetric_subspace_clone,
 )
 
 
@@ -82,6 +83,25 @@ class TestChannelAgreement:
             brute_force_oracle(QuditSpec(np.ones(9)))
 
 
+class TestSymmetricSubspaceOracle:
+    def test_matches_the_closed_form_beyond_the_oracle_cap(self):
+        rng = np.random.default_rng(47)
+        for d in (12, 24):
+            phi = random_qudit(d, rng).amplitudes
+            clone, p = symmetric_subspace_clone(np.outer(phi, phi.conj()), np.eye(d) / d)
+            f_formula, p_formula = qudit_formula(d)
+            assert np.real(phi.conj() @ clone @ phi) == pytest.approx(f_formula, abs=1e-12)
+            assert p == pytest.approx(p_formula, abs=1e-12)
+            assert np.trace(clone) == pytest.approx(1.0, abs=1e-12)
+
+    def test_shares_no_code_with_the_simulator(self):
+        simulator = {"fock", "elements", "cloning"}
+        for module in (fock, elements, cloning):
+            simulator |= {name for name, obj in vars(module).items()
+                          if getattr(obj, "__module__", None) == module.__name__}
+        assert not set(symmetric_subspace_clone.__code__.co_names) & simulator
+
+
 class TestOamFlipMode:
     def test_flip_labels_are_symmetric(self):
         res = qudit_clone(random_qudit(4, np.random.default_rng(3)), oam_flip=True)
@@ -101,21 +121,6 @@ class TestOamFlipMode:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ConfigurationError):
             qudit_clone(QuditSpec(np.ones(2)), labels=(1, 1))
-
-
-class TestCaseProbabilities:
-    def test_values_and_sum(self):
-        for d in range(1, 10):
-            p_same, p_orth = case_probabilities(d)
-            assert p_same == pytest.approx(2.0 / (d + 1.0))
-            assert p_same + p_orth == pytest.approx(1.0)
-
-    def test_case_weights_reconstruct_the_fidelity(self):
-        # identical case clones perfectly; orthogonal case has F = 1/2
-        for d in range(1, 9):
-            p_same, p_orth = case_probabilities(d)
-            assert p_same * 1.0 + p_orth * 0.5 == pytest.approx(
-                qudit_formula(d)[0], abs=1e-12)
 
 
 def test_spec_validation():
