@@ -16,5 +16,15 @@ from .fock import (  # noqa: F401
     symmetrize_product,
 )
 from .cloning import CloneResult, QubitSpec, run_cloner_full, run_cloner_projector  # noqa: F401
-from .interference import SpectralProfile, coincidence_expectation, hom_curve  # noqa: F401
 from .qudit import QuditSpec, qudit_clone, qudit_formula  # noqa: F401
+
+# Loaded on first use, so that ``python -m oamclone clone`` does not import the
+# HOM module.
+_INTERFERENCE_EXPORTS = ("SpectralProfile", "coincidence_expectation", "hom_curve")
+
+
+def __getattr__(name):
+    if name in _INTERFERENCE_EXPORTS:
+        from . import interference
+        return getattr(interference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,9 +15,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from . import __version__, cloning, experiment, interference, qudit, svgplot
+from . import __version__, cloning, qudit
 from .cloning import QubitSpec
 from .fock import FockError
 
@@ -52,6 +51,10 @@ MAX_STOKES_STATES = 60  # ten passes over the six states
 MAX_STOKES_RUNS = 1_000  # 0.48 ms per run and state: 29 s for 60 states
 MAX_COUNTS_PER_BASIS = 10 ** 9  # a Poisson draw costs the same at any mean
 MAX_ANCILLA_SAMPLES = 100_000  # 0.17 ms per sampled ancilla: 17 s
+# duration_s * source_rate_hz; a Poisson draw costs the same at any mean, but
+# numpy rejects means above about 9.2e18 and the count rate is at most
+# 0.1875 * source_rate_hz
+MAX_SOURCE_PAIRS = 1e18
 
 
 DEFAULTS = {
@@ -122,6 +125,9 @@ _SCHEMA = {
 
 
 def _state_label(raw, where):
+    if not isinstance(raw, str):
+        raise ConfigValidationError(
+            f"{where}: state label must be a string, not {type(raw).__name__}")
     label = STATE_ALIASES.get(raw, raw)
     if label not in STATE_NAMES:
         raise ConfigValidationError(
@@ -169,6 +175,9 @@ def validate_config(user: dict) -> dict:
         raise ConfigValidationError("experiment.coupling_max < coupling_min")
     if not exp["coupling_min"] <= exp["coupling"] <= exp["coupling_max"]:
         raise ConfigValidationError("experiment.coupling outside its interval")
+    if exp["duration_s"] * exp["source_rate_hz"] > MAX_SOURCE_PAIRS:
+        raise ConfigValidationError(
+            f"experiment.duration_s * source_rate_hz above {MAX_SOURCE_PAIRS:g}")
     return config
 
 
@@ -177,9 +186,11 @@ def _num(x) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    """Write a CSV file; a ``None`` cell is written empty."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else _num(c) for c in row))
+        lines.append(",".join("" if c is None else c if isinstance(c, str) else _num(c)
+                              for c in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -202,6 +213,7 @@ def _hom_states(cfg):
 
 
 def run_hom(config, out_dir, want_svg):
+    from . import interference
     cfg = config["hom"]
     psi_a, psi_b = _hom_states(cfg)
     profile = interference.SpectralProfile(cfg["wavelength_nm"] * 1e-9,
@@ -218,6 +230,7 @@ def run_hom(config, out_dir, want_svg):
     }
     _write_json(out_dir / "hom.json", "hom", config, results)
     if want_svg:
+        from . import svgplot
         (out_dir / "hom.svg").write_text(svgplot.line_plot(
             delays_um, scan.coincidences,
             f"HOM coincidences ({cfg['state_a']}, {cfg['state_b']})",
@@ -235,6 +248,7 @@ def run_clone(config, out_dir, want_svg):
                  *result.stokes)])
     _write_json(out_dir / "clone.json", "clone", config, record)
     if want_svg:
+        from . import svgplot
         (out_dir / "clone.svg").write_text(svgplot.bloch_projection(
             [(cfg["input"], q.bloch(), result.stokes)], "Cloned qubit Bloch vector"))
 
@@ -254,12 +268,14 @@ def run_qudit(config, out_dir, want_svg):
     results = {"rows": [[int(r[0])] + [float(x) for x in r[1:]] for r in rows]}
     _write_json(out_dir / "qudit.json", "qudit", config, results)
     if want_svg:
+        from . import svgplot
         (out_dir / "qudit.svg").write_text(svgplot.line_plot(
             [r[0] for r in rows], [r[1] for r in rows],
             "Cloning fidelity vs dimension", "d", "fidelity"))
 
 
 def _budget_from_config(cfg):
+    from . import experiment
     return experiment.LossBudget(
         source_rate_hz=float(cfg["source_rate_hz"]),
         qplate_efficiency=float(cfg["qplate_efficiency"]),
@@ -270,13 +286,17 @@ def _budget_from_config(cfg):
 
 
 def run_experiment(config, out_dir, want_svg):
+    from . import experiment
     cfg = config["experiment"]
     model = experiment.ImperfectionModel(float(cfg["f_prep"]), float(cfg["enhancement"]))
     budget = _budget_from_config(cfg)
     report = experiment.table_one_run(model, budget, float(cfg["duration_s"]),
                                       config["seed"])
+    # a state without counts has no fidelity estimate: empty cells, not nan
+    rows = [(label, c1, c2, *((f, s) if c1 + c2 else (None, None)))
+            for label, c1, c2, f, s in report.rows]
     _write_csv(out_dir / "experiment.csv",
-               ["state_label", "C1", "C2", "F_exp", "sigma"], report.rows)
+               ["state_label", "C1", "C2", "F_exp", "sigma"], rows)
     lo, hi = experiment.rate_budget(budget)
     results = {
         "predicted_fidelity": report.predicted,
@@ -288,12 +308,14 @@ def run_experiment(config, out_dir, want_svg):
         results["reason"] = "no state got coincidence counts; raise experiment.duration_s"
     _write_json(out_dir / "experiment.json", "experiment", config, results)
     if want_svg:
+        from . import svgplot
         (out_dir / "experiment.svg").write_text(svgplot.line_plot(
             range(len(report.rows)), [r[3] for r in report.rows],
             "Simulated per-state fidelity", "state index", "F_exp"))
 
 
 def run_stokes(config, out_dir, want_svg):
+    from . import experiment
     cfg = config["stokes"]
     seeds = np.random.SeedSequence(config["seed"]).spawn(
         len(cfg["states"]) * cfg["runs"])
@@ -303,9 +325,11 @@ def run_stokes(config, out_dir, want_svg):
     k = 0
     for label in cfg["states"]:
         q = QubitSpec.named(label)
+        ideal = cloning.run_cloner_full(q).stokes
         mean_est = np.zeros(3)
         for run_idx in range(cfg["runs"]):
-            res = experiment.simulate_stokes(q, cfg["counts_per_basis"], seeds[k])
+            res = experiment.simulate_stokes(q, cfg["counts_per_basis"], seeds[k],
+                                             ideal=ideal)
             k += 1
             rows.append((label, run_idx, *res.input_bloch, *res.estimated, res.length))
             lengths.append(res.length)
@@ -320,6 +344,7 @@ def run_stokes(config, out_dir, want_svg):
     }
     _write_json(out_dir / "stokes.json", "stokes", config, results)
     if want_svg:
+        from . import svgplot
         (out_dir / "stokes.svg").write_text(svgplot.bloch_projection(
             arrows, "Shrunk Bloch sphere of the cloned states"))
 
@@ -353,6 +378,7 @@ def build_parser():
 def _load_config(args):
     user = {}
     if args.config is not None:
+        import yaml
         try:
             text = args.config.read_text()
         except OSError as exc:

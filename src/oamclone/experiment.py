@@ -177,17 +177,21 @@ class StokesRun:
     length: float
 
 
-def simulate_stokes(input_qubit: QubitSpec, counts_per_basis: int, seed) -> StokesRun:
+def simulate_stokes(input_qubit: QubitSpec, counts_per_basis: int, seed, *,
+                    ideal=None) -> StokesRun:
     """Stokes-vector estimate of the ideal clone from finite count statistics.
 
     For each of the three Pauli axes the two projective outcomes receive
     independent Poisson counts around their ideal-clone probabilities and
     the component is estimated as the normalized count difference.
+    ``ideal`` is the ideal clone's Stokes vector; left out, it is computed
+    with ``cloning.run_cloner_full(input_qubit)``.
     """
     if counts_per_basis < 1:
         raise ConfigurationError("counts_per_basis must be >= 1")
     rng = np.random.default_rng(seed)
-    ideal = cloning.run_cloner_full(input_qubit).stokes
+    if ideal is None:
+        ideal = cloning.run_cloner_full(input_qubit).stokes
     est = np.zeros(3)
     for i, s in enumerate(ideal):
         p_plus = (1.0 + s) / 2.0

@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oamclone
-from oamclone import cli
+from oamclone import cli, cloning, experiment
 from oamclone.cli import main, validate_config, ConfigValidationError
+from oamclone.cloning import QubitSpec
 
 # The directory that holds the oamclone package this test process imported.
 # Children get it as an absolute first PYTHONPATH entry, so they import the
@@ -137,6 +139,89 @@ def test_stokes_state_list_must_be_nonempty_and_bounded(tmp_path):
     assert main(["validate", "--config", str(cfg)]) == 0
 
 
+@pytest.mark.parametrize("states", [[[1]], [{"a": 1}], [1], ["h", None]])
+def test_non_string_state_label_exits_3(states, tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(json.dumps({"stokes": {"states": states}}))
+    assert main(["validate", "--config", str(cfg)]) == 3
+
+
+def test_emitted_pairs_above_their_bound_exit_3(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    for experiment_cfg in ({"duration_s": 1.0e300},
+                           {"duration_s": 1.0e10, "source_rate_hz": 1.0e9}):
+        cfg.write_text(json.dumps({"experiment": experiment_cfg}))
+        assert main(["validate", "--config", str(cfg)]) == 3
+
+
+def test_emitted_pairs_at_their_bound_run_at_the_highest_rate(tmp_path):
+    # lossless chain: the count rate reaches its largest share of the source rate
+    rate = 1.0e6
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(json.dumps({"experiment": {
+        "duration_s": cli.MAX_SOURCE_PAIRS / rate, "source_rate_hz": rate,
+        "qplate_efficiency": 1.0, "transferrer_success": 1.0,
+        "coupling_min": 1.0, "coupling_max": 1.0, "coupling": 1.0}}))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert strict_json((out / "experiment.json").read_text())["results"]["mean_fidelity"]
+
+
+@pytest.mark.parametrize("scenario, used, absent", [
+    ("clone", "oamclone.cloning", {"yaml", "oamclone.svgplot", "oamclone.experiment",
+                                   "oamclone.interference"}),
+    ("qudit", "oamclone.qudit", {"yaml", "oamclone.svgplot", "oamclone.experiment",
+                                 "oamclone.interference"}),
+    ("hom", "oamclone.interference", {"yaml", "oamclone.svgplot",
+                                      "oamclone.experiment"}),
+    ("stokes", "oamclone.experiment", {"yaml", "oamclone.svgplot",
+                                       "oamclone.interference"}),
+])
+def test_scenario_imports_only_what_it_runs(scenario, used, absent, tmp_path):
+    """Without --config and --svg a scenario imports neither yaml nor svgplot,
+    nor the modules of other scenarios."""
+    code = ("import json, sys\n"
+            "from oamclone import cli\n"
+            f"code = cli.main([{scenario!r}, '--out-dir', 'out'])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path, env=child_env())
+    assert res.returncode == 0, res.stderr
+    exit_code, loaded = json.loads(res.stdout)
+    assert exit_code == 0
+    assert absent.isdisjoint(loaded)
+    assert used in loaded
+
+
+def test_stokes_clones_each_input_once(tmp_path, monkeypatch):
+    calls = []
+    clone = cloning.run_cloner_full
+
+    def counting_clone(*args, **kwargs):
+        calls.append(args)
+        return clone(*args, **kwargs)
+
+    monkeypatch.setattr(cloning, "run_cloner_full", counting_clone)
+    out = tmp_path / "out"
+    assert main(["stokes", "--out-dir", str(out)]) == 0
+    cfg = cli.DEFAULTS["stokes"]
+    assert len(calls) == len(cfg["states"]) == 6
+    seeds = np.random.SeedSequence(cli.DEFAULTS["seed"]).spawn(
+        len(cfg["states"]) * cfg["runs"])
+    rows = []
+    for i, label in enumerate(cfg["states"]):
+        for run_idx in range(cfg["runs"]):
+            res = experiment.simulate_stokes(QubitSpec.named(label),
+                                             cfg["counts_per_basis"],
+                                             seeds[i * cfg["runs"] + run_idx])
+            rows.append((label, run_idx, *res.input_bloch, *res.estimated, res.length))
+    assert len(calls) == 6 + len(rows)  # the 3-argument form clones on every call
+    expected = tmp_path / "expected.csv"
+    header = (out / "stokes.csv").read_text().splitlines()[0].split(",")
+    cli._write_csv(expected, header, rows)
+    assert (out / "stokes.csv").read_text() == expected.read_text()
+
+
 class TestExitCodes:
     def test_help(self, tmp_path):
         res = run_cli(["--help"], tmp_path)
@@ -242,6 +327,18 @@ class TestScenarios:
         res = strict_json((out / "experiment.json").read_text())["results"]
         assert res["mean_fidelity"] is None
         assert "duration_s" in res["reason"]
+
+    @pytest.mark.parametrize("duration_s, empty", [(0, 2 * 6), (600.0, 0)])
+    def test_experiment_csv_cells_are_finite_or_empty(self, duration_s, empty, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"experiment:\n  duration_s: {duration_s}\n")
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        lines = (out / "experiment.csv").read_text().splitlines()
+        cells = [cell for line in lines[1:] for cell in line.split(",")[1:]]
+        assert len(cells) == 4 * 6
+        assert all(math.isfinite(float(c)) for c in cells if c)
+        assert cells.count("") == empty
 
     def test_runs_are_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
