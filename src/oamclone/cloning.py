@@ -14,6 +14,7 @@ projects the input (x) ancilla pair on the symmetric subspace (numpy only).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -62,6 +63,8 @@ class QubitSpec:
     beta: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
+            raise InvalidStateError("qubit amplitudes must be finite")
         nrm = math.sqrt(abs(self.alpha) ** 2 + abs(self.beta) ** 2)
         if abs(nrm - 1.0) > 1e-12:
             if nrm < 1e-15:

@@ -1,20 +1,14 @@
-"""Optical elements as linear maps on the single-photon mode space.
+"""The balanced beam splitter as a linear map on the single-photon mode space.
 
-Conventions (frozen for reproducibility, see README):
-  * internal polarization basis is circular {L, R}; linear states are
-    H = (L + R)/sqrt(2) and V = -i (L - R)/sqrt(2)
-  * waveplate angle zero means fast axis horizontal
-  * the q-plate maps |L, m> -> |R, m + 2q| and |R, m> -> |L, m - 2q>
-    (handedness flag flips this)
-  * balanced beam splitter: out_a' = (in_a + i F in_b)/sqrt(2),
-    out_b' = (i F in_a + in_b)/sqrt(2), where F inverts the OAM sign on
-    reflection; a -> a' is the transmitted port
+Convention (frozen for reproducibility, see README): out_a' = (in_a + i F
+in_b)/sqrt(2), out_b' = (i F in_a + in_b)/sqrt(2), where F inverts the OAM
+sign on reflection; a -> a' is the transmitted port.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,35 +22,14 @@ from .fock import (
 )
 
 UNITARY_ATOL = 1e-10
-PROJECTIVE_ATOL = 1e-10
-
-
-class BasisClosureError(ConfigurationError):
-    """An element would map a populated mode outside the truncation set."""
-
-
-# circular -> linear change of basis: columns are L and R in (H, V) coordinates
-_C = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / math.sqrt(2.0)
-_JONES_H = np.array([1.0, 0.0])
-_JONES_V = np.array([0.0, 1.0])
 
 
 @dataclass
 class ElementOperator:
-    """Linear map on the single-photon space.
-
-    ``kind`` is "unitary", "projective" (idempotent filter) or "general"
-    (scaled/ composite maps, e.g. a lossy q-plate).  ``forbidden`` lists mode
-    indices whose population is not representable after the map; applying the
-    operator to a state populating them raises BasisClosureError.
-    """
+    """Unitary map on the single-photon space of ``basis``."""
 
     basis: ModeBasis
     matrix: np.ndarray
-    kind: str
-    touched_paths: frozenset
-    note: str = ""
-    forbidden: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -66,192 +39,25 @@ class ElementOperator:
 
     def validate(self):
         m = self.matrix
-        if self.kind == "unitary":
-            if not np.allclose(m.conj().T @ m, np.eye(len(m)), atol=UNITARY_ATOL):
-                raise ConfigurationError("operator tagged unitary is not unitary")
-        elif self.kind == "projective":
-            if not np.allclose(m @ m, m, atol=PROJECTIVE_ATOL):
-                raise ConfigurationError("operator tagged projective is not idempotent")
+        if not np.allclose(m.conj().T @ m, np.eye(len(m)), atol=UNITARY_ATOL):
+            raise ConfigurationError("operator is not unitary")
         return self
-
-
-def compose(*ops) -> ElementOperator:
-    """Compose elements in application order (first argument acts first)."""
-    if not ops:
-        raise ConfigurationError("empty composition")
-    basis = ops[0].basis
-    mat = np.eye(basis.size, dtype=complex)
-    touched = frozenset()
-    forbidden = frozenset()
-    kinds = set()
-    notes = []
-    for op in ops:
-        if op.basis != basis:
-            raise BasisMismatchError("composition across bases")
-        mat = op.matrix @ mat
-        touched |= op.touched_paths
-        forbidden |= op.forbidden
-        kinds.add(op.kind)
-        if op.note:
-            notes.append(op.note)
-    kind = "unitary" if kinds == {"unitary"} else "general"
-    return ElementOperator(basis, mat, kind, touched, "; ".join(notes), forbidden)
 
 
 def apply(op: ElementOperator, state):
     """Apply an element to a one- or two-photon state.
 
     Two-photon states evolve via the symmetric coefficient matrix,
-    S -> M S M^T, which is the lift M (x) M on the bosonic sector.  For
-    non-unitary elements the surviving squared norm multiplies the state
-    weight and the amplitudes are renormalized.
+    S -> M S M^T, which is the lift M (x) M on the bosonic sector.
     """
     if op.basis != state.basis:
         raise BasisMismatchError("operator and state bases differ")
     if isinstance(state, PhotonState):
-        _check_closure(op, np.abs(state.amplitudes) > 1e-10)
-        vec = op.matrix @ state.amplitudes
-        nrm2 = float(np.vdot(vec, vec).real)
-        if op.kind == "unitary":
-            return PhotonState(op.basis, vec, state.weight)
-        if nrm2 < 1e-30:
-            return PhotonState(op.basis, np.zeros_like(vec), 0.0)
-        return PhotonState(op.basis, vec / math.sqrt(nrm2), state.weight * nrm2)
+        return PhotonState(op.basis, op.matrix @ state.amplitudes)
     if isinstance(state, TwoPhotonState):
-        populated = np.zeros(op.basis.size, dtype=bool)
-        for (i, j), amp in state.amplitudes.items():
-            if abs(amp) > 1e-10:
-                populated[i] = populated[j] = True
-        _check_closure(op, populated)
-        s = state.to_sym_matrix()
-        s2 = op.matrix @ s @ op.matrix.T
-        nrm2 = 2.0 * float(np.sum(np.abs(s2) ** 2))
-        if op.kind == "unitary":
-            return TwoPhotonState.from_sym_matrix(op.basis, s2, state.weight)
-        if nrm2 < 1e-30:
-            return TwoPhotonState(op.basis, {}, 0.0)
-        return TwoPhotonState.from_sym_matrix(
-            op.basis, s2 / math.sqrt(nrm2), state.weight * nrm2)
+        s2 = op.matrix @ state.to_sym_matrix() @ op.matrix.T
+        return TwoPhotonState.from_sym_matrix(op.basis, s2)
     raise TypeError(f"unsupported state type {type(state)}")
-
-
-def _check_closure(op, populated):
-    for idx in op.forbidden:
-        if populated[idx]:
-            raise BasisClosureError(
-                f"mode {op.basis.modes[idx]} has no image in the truncation set")
-
-
-def _paths_or_all(basis, paths):
-    if paths is None:
-        return sorted(basis.paths)
-    for p in paths:
-        if p not in basis.paths:
-            raise ConfigurationError(f"path {p!r} not present in basis")
-    return list(paths)
-
-
-def _lift_jones(basis, jones_circ, paths, kind, note):
-    """Embed a 2x2 circular-basis Jones matrix on every (path, oam) it touches."""
-    mat = np.eye(basis.size, dtype=complex)
-    paths = _paths_or_all(basis, paths)
-    for path in paths:
-        for m in sorted(basis.oam_set):
-            il = basis.index(ModeIndex(path, "L", m))
-            ir = basis.index(ModeIndex(path, "R", m))
-            mat[np.ix_([il, ir], [il, ir])] = jones_circ
-    return ElementOperator(basis, mat, kind, frozenset(paths), note)
-
-
-def _waveplate_jones(theta: float, retardance: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    lin = rot @ np.diag([1.0, np.exp(1j * retardance)]) @ rot.T
-    return _C.conj().T @ lin @ _C
-
-
-def half_wave_plate(theta: float, basis: ModeBasis, paths=None) -> ElementOperator:
-    return _lift_jones(basis, _waveplate_jones(theta, math.pi), paths,
-                       "unitary", f"HWP(theta={theta:g})")
-
-
-def quarter_wave_plate(theta: float, basis: ModeBasis, paths=None) -> ElementOperator:
-    return _lift_jones(basis, _waveplate_jones(theta, math.pi / 2.0), paths,
-                       "unitary", f"QWP(theta={theta:g})")
-
-
-@dataclass
-class QPlateSpec:
-    """q-plate parameters: topological charge and scalar conversion efficiency."""
-
-    charge: float = 1.0
-    conversion_efficiency: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.conversion_efficiency <= 1.0:
-            raise ConfigurationError("conversion efficiency must lie in [0, 1]")
-        if abs(2.0 * self.charge - round(2.0 * self.charge)) > 1e-12:
-            raise ConfigurationError("charge must be an integer or half-integer")
-
-
-def q_plate(spec: QPlateSpec, basis: ModeBasis, paths=None,
-            handedness: int = +1) -> ElementOperator:
-    """Spin-to-OAM converter: |L, m> -> |R, m + 2q>, |R, m> -> |L, m - 2q>.
-
-    ``handedness=-1`` swaps which circular polarization gains OAM.  With
-    efficiency eta < 1 the converted branch carries amplitude sqrt(eta); the
-    unconverted fraction is treated as heralded loss (it is rejected by the
-    downstream polarizer or fiber anyway).  Modes whose conversion target
-    falls outside the truncation set are flagged; populating them raises at
-    application time.
-    """
-    shift = int(round(2.0 * spec.charge)) * (1 if handedness >= 0 else -1)
-    eta = spec.conversion_efficiency
-    amp = math.sqrt(eta)
-    paths = _paths_or_all(basis, paths)
-    mat = np.eye(basis.size, dtype=complex)
-    forbidden = set()
-    for path in paths:
-        for m in sorted(basis.oam_set):
-            for pol, new_pol, dm in (("L", "R", shift), ("R", "L", -shift)):
-                src = basis.index(ModeIndex(path, pol, m))
-                mat[:, src] = 0.0
-                if (m + dm) in basis.oam_set:
-                    dst = basis.index(ModeIndex(path, new_pol, m + dm))
-                    mat[dst, src] = amp
-                else:
-                    forbidden.add(src)
-    kind = "unitary" if (eta == 1.0 and not forbidden) else "general"
-    return ElementOperator(basis, mat, kind, frozenset(paths),
-                           f"q-plate(q={spec.charge:g}, eta={eta:g})",
-                           frozenset(forbidden))
-
-
-def polarizer(pass_pol: str, basis: ModeBasis, paths=None) -> ElementOperator:
-    """Projective filter passing one linear polarization (H or V)."""
-    if pass_pol not in ("H", "V"):
-        raise ConfigurationError("pass_pol must be 'H' or 'V'")
-    jones_lin = np.outer(*(2 * [_JONES_H if pass_pol == "H" else _JONES_V]))
-    jones = _C.conj().T @ jones_lin @ _C
-    op = _lift_jones(basis, jones, paths, "projective", f"polarizer({pass_pol})")
-    op.note += "; weight = pass probability"
-    return op
-
-
-def smf_filter(basis: ModeBasis, paths=None) -> ElementOperator:
-    """Single-mode-fiber coupler: projects onto the zero-OAM modes of a path."""
-    if 0 not in basis.oam_set:
-        raise ConfigurationError("basis truncation set lacks oam=0")
-    paths = _paths_or_all(basis, paths)
-    mat = np.eye(basis.size, dtype=complex)
-    for path in paths:
-        for pol in ("L", "R"):
-            for m in sorted(basis.oam_set):
-                if m != 0:
-                    idx = basis.index(ModeIndex(path, pol, m))
-                    mat[idx, idx] = 0.0
-    return ElementOperator(basis, mat, "projective", frozenset(paths),
-                           "SMF filter; weight = coupling probability")
 
 
 def beam_splitter(basis: ModeBasis, oam_flip: bool = True) -> ElementOperator:
@@ -288,38 +94,4 @@ def beam_splitter(basis: ModeBasis, oam_flip: bool = True) -> ElementOperator:
     out_idx = [i for i, m in enumerate(basis.modes) if m.path in ("a_prime", "b_prime")]
     block = mat[np.ix_(out_idx, in_idx)]
     mat[np.ix_(in_idx, out_idx)] = block.conj().T
-    return ElementOperator(basis, mat, "unitary", frozenset(needed),
-                           f"balanced BS (oam_flip={oam_flip})")
-
-
-def transferrer_pi_to_o2(basis: ModeBasis, path: str = "a",
-                         spec: QPlateSpec | None = None,
-                         handedness: int = +1) -> ElementOperator:
-    """Polarization-to-OAM quantum transferrer: q-plate then H polarizer.
-
-    Maps a polarization qubit carried on oam=0 onto an OAM qubit on
-    {+2q, -2q} with H polarization; ideal success probability 1/2.
-    """
-    spec = spec or QPlateSpec()
-    qp = q_plate(spec, basis, paths=[path], handedness=handedness)
-    pol = polarizer("H", basis, paths=[path])
-    op = compose(qp, pol)
-    op.note = f"transferrer pi->o2 on {path} (success 1/2 ideal)"
-    return op
-
-
-def transferrer_o2_to_pi(basis: ModeBasis, path: str = "a_prime",
-                         spec: QPlateSpec | None = None,
-                         handedness: int = +1) -> ElementOperator:
-    """OAM-to-polarization transferrer: q-plate then single-mode-fiber filter.
-
-    Recovers the OAM qubit amplitudes in polarization on oam=0; ideal
-    success probability 1/2.  The basis must contain the intermediate OAM
-    values +-4q for an H-polarized {+2q, -2q} input.
-    """
-    spec = spec or QPlateSpec()
-    qp = q_plate(spec, basis, paths=[path], handedness=handedness)
-    smf = smf_filter(basis, paths=[path])
-    op = compose(qp, smf)
-    op.note = f"transferrer o2->pi on {path} (success 1/2 ideal)"
-    return op
+    return ElementOperator(basis, mat)

@@ -76,8 +76,8 @@ class LossBudget:
             raise ConfigurationError("fiber_coupling interval reversed")
         if not lo <= self.default_coupling <= hi:
             raise ConfigurationError("default_coupling outside the coupling interval")
-        if self.source_rate_hz <= 0:
-            raise ConfigurationError("source rate must be positive")
+        if not (math.isfinite(self.source_rate_hz) and self.source_rate_hz > 0):
+            raise ConfigurationError("source rate must be finite and positive")
 
     @property
     def p_prep(self) -> float:
@@ -85,10 +85,6 @@ class LossBudget:
 
     def p_det(self, coupling: float) -> float:
         return self.qplate_efficiency * self.transferrer_success * coupling
-
-    def p_det_interval(self):
-        lo, hi = self.fiber_coupling
-        return self.p_det(lo), self.p_det(hi)
 
     def rate(self, coupling: float) -> float:
         return (self.source_rate_hz * self.p_prep ** 2 * self.p_clon

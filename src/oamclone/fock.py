@@ -124,16 +124,10 @@ def build_basis(paths, oam_set=DEFAULT_OAM_SET, pols=POLS) -> ModeBasis:
 
 @dataclass
 class PhotonState:
-    """Single-photon amplitude vector over a ModeBasis.
-
-    ``weight`` records the accumulated success probability of any projective
-    operations applied so far; the amplitude vector itself stays normalized
-    (unless weight is zero, in which case amplitudes are all zero).
-    """
+    """Single-photon amplitude vector over a ModeBasis."""
 
     basis: ModeBasis
     amplitudes: np.ndarray
-    weight: float = 1.0
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
@@ -169,7 +163,6 @@ class TwoPhotonState:
 
     basis: ModeBasis
     amplitudes: dict = field(default_factory=dict)
-    weight: float = 1.0
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
@@ -200,7 +193,7 @@ class TwoPhotonState:
         return s
 
     @classmethod
-    def from_sym_matrix(cls, basis: ModeBasis, s: np.ndarray, weight: float = 1.0,
+    def from_sym_matrix(cls, basis: ModeBasis, s: np.ndarray,
                         prune: float = 1e-15) -> "TwoPhotonState":
         amps = {}
         n = basis.size
@@ -209,7 +202,7 @@ class TwoPhotonState:
                 amp = math.sqrt(2.0) * s[i, i] if i == j else 2.0 * s[i, j]
                 if abs(amp) > prune:
                     amps[(i, j)] = complex(amp)
-        return cls(basis, amps, weight)
+        return cls(basis, amps)
 
     def to_vector(self, pair_keys=None) -> np.ndarray:
         keys = pair_keys if pair_keys is not None else self.basis.pair_keys()
@@ -250,34 +243,28 @@ def project_keys(state: TwoPhotonState, path: str) -> tuple:
     """Post-select the runs where both photons exit on ``path``.
 
     Returns (normalized projected state, success probability relative to the
-    input).  The projected state's weight accumulates the input weight times
-    the success probability.
+    input).
     """
     modes = state.basis.modes
     kept = {(i, j): a for (i, j), a in state.amplitudes.items()
             if modes[i].path == path and modes[j].path == path}
     prob = sum(abs(a) ** 2 for a in kept.values())
     if prob < 1e-30:
-        return TwoPhotonState(state.basis, {}, 0.0), 0.0
+        return TwoPhotonState(state.basis, {}), 0.0
     scale = 1.0 / math.sqrt(prob)
-    out = TwoPhotonState(state.basis, {k: a * scale for k, a in kept.items()},
-                         state.weight * prob)
-    return out, prob
+    return TwoPhotonState(state.basis, {k: a * scale for k, a in kept.items()}), prob
 
 
 @dataclass
 class DensityOperator:
     """Hermitian PSD operator, over a single-photon basis or a two-photon pair basis.
 
-    The matrix is kept at unit trace; ``weight`` records the success
-    probability when the operator describes a post-selected (subnormalized)
-    ensemble.
+    The matrix is kept at unit trace.
     """
 
     basis: ModeBasis
     kind: str  # "single" | "pair"
     matrix: np.ndarray
-    weight: float = 1.0
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -295,9 +282,6 @@ class DensityOperator:
             raise InvalidStateError(f"trace {np.trace(m).real} != 1")
         return self
 
-    def expectation(self, observable: np.ndarray) -> float:
-        return float(np.real(np.trace(self.matrix @ observable)))
-
 
 def pure_density(state) -> DensityOperator:
     """Rank-1 projector onto a pure one- or two-photon state."""
@@ -307,7 +291,7 @@ def pure_density(state) -> DensityOperator:
         if n < 1e-15:
             raise InvalidStateError("cannot form density of a zero state")
         v = v / n
-        return DensityOperator(state.basis, "single", np.outer(v, v.conj()), state.weight)
+        return DensityOperator(state.basis, "single", np.outer(v, v.conj()))
     if isinstance(state, TwoPhotonState):
         keys = state.basis.pair_keys()
         v = state.to_vector(keys)
@@ -315,7 +299,7 @@ def pure_density(state) -> DensityOperator:
         if n < 1e-15:
             raise InvalidStateError("cannot form density of a zero state")
         v = v / n
-        return DensityOperator(state.basis, "pair", np.outer(v, v.conj()), state.weight)
+        return DensityOperator(state.basis, "pair", np.outer(v, v.conj()))
     raise TypeError(f"unsupported state type {type(state)}")
 
 
@@ -365,7 +349,7 @@ def partial_trace_to_single(rho2: DensityOperator) -> DensityOperator:
     # rho1 = sum_KL M_KL A^K (A^L)^dagger
     t = np.einsum("KL,Lqr->Kqr", rho2.matrix, a.conj())
     rho1 = np.einsum("Kpr,Kqr->pq", a, t)
-    return DensityOperator(rho2.basis, "single", rho1, rho2.weight)
+    return DensityOperator(rho2.basis, "single", rho1)
 
 
 def reduced_single_pure(state: TwoPhotonState) -> DensityOperator:
@@ -376,4 +360,4 @@ def reduced_single_pure(state: TwoPhotonState) -> DensityOperator:
     if nrm < 1e-15:
         raise InvalidStateError("zero two-photon state")
     a = a / nrm
-    return DensityOperator(state.basis, "single", a @ a.conj().T, state.weight)
+    return DensityOperator(state.basis, "single", a @ a.conj().T)

@@ -34,8 +34,10 @@ class SpectralProfile:
     shape: str = "gaussian"
 
     def __post_init__(self):
-        if self.center_wavelength <= 0 or self.bandwidth_fwhm <= 0:
-            raise ConfigurationError("wavelength and bandwidth must be positive")
+        for value in (self.center_wavelength, self.bandwidth_fwhm):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    "wavelength and bandwidth must be finite and positive")
         if self.shape != "gaussian":
             raise ConfigurationError(f"unsupported spectral shape {self.shape!r}")
 
@@ -122,6 +124,8 @@ def hom_curve(psi_a: PhotonState, psi_b: PhotonState, delays,
     delays = np.asarray(list(delays), dtype=float)
     if delays.size == 0:
         raise ConfigurationError("empty delay scan")
+    if not np.all(np.isfinite(delays)):
+        raise ConfigurationError("delays must be finite")
     mu = internal_overlap(psi_a, psi_b)
     v = np.exp(-KAPPA * (delays / coherence_length(profile)) ** 2)
     coincidences = baseline * (1.0 + v * v * mu)

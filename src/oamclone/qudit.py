@@ -35,6 +35,8 @@ class QuditSpec:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.ndim != 1 or self.amplitudes.size < 1:
             raise ConfigurationError("amplitudes must be a nonempty vector")
+        if not np.all(np.isfinite(self.amplitudes)):
+            raise ConfigurationError("amplitudes must be finite")
         nrm = np.linalg.norm(self.amplitudes)
         if abs(nrm - 1.0) > 1e-12:
             if nrm < 1e-15:

@@ -193,6 +193,18 @@ def test_scenario_imports_only_what_it_runs(scenario, used, absent, tmp_path):
     assert used in loaded
 
 
+@pytest.mark.parametrize("scenario", ["hom", "clone", "qudit", "experiment", "stokes"])
+def test_same_seed_writes_byte_identical_files(scenario, tmp_path):
+    """Two processes (each with its own hash seed) write the same bytes."""
+    outputs = []
+    for out in ("o1", "o2"):
+        res = run_cli([scenario, "--seed", "7", "--svg", "--out-dir", out], tmp_path)
+        assert res.returncode == 0, res.stderr
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / out).iterdir()})
+    assert sorted(outputs[0]) == [f"{scenario}.{ext}" for ext in ("csv", "json", "svg")]
+    assert outputs[0] == outputs[1]
+
+
 def test_stokes_clones_each_input_once(tmp_path, monkeypatch):
     calls = []
     clone = cloning.run_cloner_full

@@ -13,7 +13,7 @@ from oamclone.cloning import (
     stokes_vector,
     universality_sweep,
 )
-from oamclone.fock import ConfigurationError
+from oamclone.fock import ConfigurationError, InvalidStateError
 
 
 class TestQubitSpec:
@@ -38,6 +38,13 @@ class TestQubitSpec:
     def test_unknown_label(self):
         with pytest.raises(ConfigurationError):
             QubitSpec.named("x")
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 0.0), (math.inf, 0.0), (1.0, complex(0.0, math.nan)),
+        (1.0, complex(math.inf, 0.0))])
+    def test_non_finite_amplitudes_rejected(self, alpha, beta):
+        with pytest.raises(InvalidStateError, match="finite"):
+            QubitSpec(alpha, beta)
 
 
 class TestOptimalCloning:

@@ -4,24 +4,8 @@ import numpy as np
 import pytest
 
 from oamclone import elements, fock
-from oamclone.elements import (
-    BasisClosureError,
-    QPlateSpec,
-    apply,
-    beam_splitter,
-    compose,
-    half_wave_plate,
-    polarizer,
-    q_plate,
-    quarter_wave_plate,
-    smf_filter,
-    transferrer_o2_to_pi,
-    transferrer_pi_to_o2,
-)
+from oamclone.elements import apply, beam_splitter
 from oamclone.fock import ModeIndex, PhotonState, build_basis, superposition_state
-
-PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
-          np.array([[1, 0], [0, -1]]))
 
 
 def pol_basis():
@@ -33,156 +17,9 @@ def h_state(basis, path="a", oam=0):
                                        (ModeIndex(path, "R", oam), 1.0)])
 
 
-def v_state(basis, path="a", oam=0):
-    return superposition_state(basis, [(ModeIndex(path, "L", oam), -1j),
-                                       (ModeIndex(path, "R", oam), 1j)])
-
-
-def _up_to_phase(u, v, atol=1e-10):
-    return abs(abs(np.vdot(u, v)) - 1.0) < atol
-
-
 def _random_state(basis, rng):
     v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     return PhotonState(basis, v / np.linalg.norm(v))
-
-
-class TestWavePlates:
-    def test_hwp_zero_fixes_h(self):
-        basis = pol_basis()
-        out = apply(half_wave_plate(0.0, basis), h_state(basis))
-        assert _up_to_phase(out.amplitudes, h_state(basis).amplitudes)
-
-    def test_hwp_eighth_turn_gives_diagonal(self):
-        basis = pol_basis()
-        out = apply(half_wave_plate(math.pi / 8, basis), h_state(basis))
-        # equal H and V weights
-        wh = abs(np.vdot(h_state(basis).amplitudes, out.amplitudes)) ** 2
-        wv = abs(np.vdot(v_state(basis).amplitudes, out.amplitudes)) ** 2
-        assert wh == pytest.approx(0.5, abs=1e-12)
-        assert wv == pytest.approx(0.5, abs=1e-12)
-
-    def test_hwp_quarter_turn_swaps_h_and_v(self):
-        basis = pol_basis()
-        out = apply(half_wave_plate(math.pi / 4, basis), h_state(basis))
-        assert _up_to_phase(out.amplitudes, v_state(basis).amplitudes)
-
-    def test_qwp_makes_circular_from_h(self):
-        basis = pol_basis()
-        out = apply(quarter_wave_plate(math.pi / 4, basis), h_state(basis))
-        weights = np.abs(out.amplitudes) ** 2  # circular-basis populations
-        assert sorted(np.round(weights[weights > 1e-12], 10)) == [1.0]
-
-    def test_qwp_zero_on_circular_gives_equal_linear_weights(self):
-        basis = pol_basis()
-        left = superposition_state(basis, [(ModeIndex("a", "L", 0), 1.0)])
-        out = apply(quarter_wave_plate(0.0, basis), left)
-        wh = abs(np.vdot(h_state(basis).amplitudes, out.amplitudes)) ** 2
-        assert wh == pytest.approx(0.5, abs=1e-12)
-
-    def test_qwp_hwp_reaches_the_whole_bloch_sphere(self):
-        # numerical surjectivity over a 20x20 angle grid
-        basis = pol_basis()
-        h = h_state(basis)
-        points = []
-        for tq in np.linspace(0, math.pi, 20, endpoint=False):
-            qwp = quarter_wave_plate(tq, basis)
-            for th in np.linspace(0, math.pi, 20, endpoint=False):
-                out = apply(qwp, apply(half_wave_plate(th, basis), h))
-                v = out.amplitudes
-                points.append([np.real(np.vdot(v, p @ v)) for p in PAULIS])
-        points = np.array(points)
-        rng = np.random.default_rng(0)
-        targets = rng.normal(size=(300, 3))
-        targets /= np.linalg.norm(targets, axis=1, keepdims=True)
-        gaps = np.linalg.norm(targets[:, None, :] - points[None, :, :], axis=2).min(axis=1)
-        assert gaps.max() < 0.35
-
-    def test_unitarity_of_1000_random_waveplates(self):
-        basis = pol_basis()
-        rng = np.random.default_rng(13)
-        eye = np.eye(basis.size)
-        for _ in range(500):
-            for maker in (half_wave_plate, quarter_wave_plate):
-                op = maker(rng.uniform(0, math.pi), basis)
-                assert np.allclose(op.matrix.conj().T @ op.matrix, eye, atol=1e-10)
-                op.validate()
-
-
-class TestQPlate:
-    def test_conversion_rules(self):
-        basis = build_basis(("a",), (-2, 0, 2))
-        op = q_plate(QPlateSpec(), basis)
-        left = superposition_state(basis, [(ModeIndex("a", "L", 0), 1.0)])
-        right = superposition_state(basis, [(ModeIndex("a", "R", 0), 1.0)])
-        assert apply(op, left).amplitude(ModeIndex("a", "R", 2)) == pytest.approx(1.0)
-        assert apply(op, right).amplitude(ModeIndex("a", "L", -2)) == pytest.approx(1.0)
-
-    def test_linearity_on_h(self):
-        basis = build_basis(("a",), (-2, 0, 2))
-        out = apply(q_plate(QPlateSpec(), basis), h_state(basis))
-        assert out.amplitude(ModeIndex("a", "R", 2)) == pytest.approx(1 / math.sqrt(2))
-        assert out.amplitude(ModeIndex("a", "L", -2)) == pytest.approx(1 / math.sqrt(2))
-
-    def test_double_application_is_identity(self):
-        basis = build_basis(("a",), (-4, -2, 0, 2, 4))
-        op = q_plate(QPlateSpec(), basis)
-        rng = np.random.default_rng(2)
-        inner = [basis.index(ModeIndex("a", p, m)) for p in ("L", "R") for m in (-2, 0, 2)]
-        for _ in range(50):
-            v = np.zeros(basis.size, dtype=complex)
-            v[inner] = rng.normal(size=6) + 1j * rng.normal(size=6)
-            psi = PhotonState(basis, v / np.linalg.norm(v))
-            out = apply(op, apply(op, psi))
-            assert np.allclose(out.amplitudes, psi.amplitudes, atol=1e-12)
-
-    def test_closure_error_on_populated_edge_mode(self):
-        basis = build_basis(("a",), (-2, 0, 2))
-        op = q_plate(QPlateSpec(), basis)
-        edge = superposition_state(basis, [(ModeIndex("a", "L", 2), 1.0)])
-        with pytest.raises(BasisClosureError):
-            apply(op, edge)
-
-    def test_efficiency_recorded_as_loss(self):
-        basis = build_basis(("a",), (-2, 0, 2))
-        op = q_plate(QPlateSpec(conversion_efficiency=0.8), basis)
-        left = superposition_state(basis, [(ModeIndex("a", "L", 0), 1.0)])
-        out = apply(op, left)
-        assert out.weight == pytest.approx(0.8)
-        assert abs(out.norm() - 1.0) < 1e-12
-
-    def test_bad_spec_rejected(self):
-        with pytest.raises(fock.ConfigurationError):
-            QPlateSpec(conversion_efficiency=1.2)
-        with pytest.raises(fock.ConfigurationError):
-            QPlateSpec(charge=0.3)
-
-
-class TestPolarizerAndFiber:
-    def test_polarizer_examples(self):
-        basis = pol_basis()
-        op = polarizer("H", basis)
-        op.validate()
-        out_h = apply(op, h_state(basis))
-        assert out_h.weight == pytest.approx(1.0)
-        out_v = apply(op, v_state(basis))
-        assert out_v.weight == pytest.approx(0.0, abs=1e-12)
-        left = superposition_state(basis, [(ModeIndex("a", "L", 0), 1.0)])
-        out_l = apply(op, left)
-        assert out_l.weight == pytest.approx(0.5)
-        assert _up_to_phase(out_l.amplitudes, h_state(basis).amplitudes)
-
-    def test_smf_filter_examples(self):
-        basis = build_basis(("a",), (-2, 0, 2))
-        op = smf_filter(basis)
-        op.validate()
-        zero = superposition_state(basis, [(ModeIndex("a", "L", 0), 1.0)])
-        assert apply(op, zero).weight == pytest.approx(1.0)
-        two = superposition_state(basis, [(ModeIndex("a", "L", 2), 1.0)])
-        assert apply(op, two).weight == pytest.approx(0.0, abs=1e-12)
-        mixed = superposition_state(basis, [(ModeIndex("a", "L", 0), 1.0),
-                                            (ModeIndex("a", "L", 2), 1.0)])
-        assert apply(op, mixed).weight == pytest.approx(0.5)
 
 
 class TestBeamSplitter:
@@ -243,77 +80,13 @@ class TestBeamSplitter:
             beam_splitter(build_basis(("a", "b", "a_prime", "b_prime"), (0, 2)))
 
 
-class TestTransferrers:
-    def test_pi_to_o2_on_left_circular(self):
-        # composition oracle: polarizer matrix times q-plate matrix by hand
-        basis = build_basis(("a",), (-2, 0, 2))
-        op = transferrer_pi_to_o2(basis, "a")
-        expected = polarizer("H", basis).matrix @ q_plate(QPlateSpec(), basis).matrix
-        assert np.allclose(op.matrix, expected, atol=1e-14)
-        left = superposition_state(basis, [(ModeIndex("a", "L", 0), 1.0)])
-        out = apply(op, left)
-        assert out.weight == pytest.approx(0.5)
-        want = h_state(basis, oam=2)
-        assert _up_to_phase(out.amplitudes, want.amplitudes)
-
-    def test_pi_to_o2_on_h(self):
-        basis = build_basis(("a",), (-2, 0, 2))
-        out = apply(transferrer_pi_to_o2(basis, "a"), h_state(basis))
-        assert out.weight == pytest.approx(0.5)
-        # H polarization carrying the (|+2> + |-2>)/sqrt(2) OAM superposition
-        for m in (-2, 2):
-            assert abs(out.amplitude(ModeIndex("a", "L", m))) == pytest.approx(0.5)
-            assert abs(out.amplitude(ModeIndex("a", "R", m))) == pytest.approx(0.5)
-
-    def test_o2_to_pi_recovers_zero_oam(self):
-        basis = build_basis(("a",), (-4, -2, 0, 2, 4))
-        op = transferrer_o2_to_pi(basis, "a")
-        psi = h_state(basis, oam=2)  # |H, +2>
-        out = apply(op, psi)
-        assert out.weight == pytest.approx(0.5)
-        assert abs(out.amplitude(ModeIndex("a", "L", 0))) == pytest.approx(1.0)
-
-    def test_round_trip_identity_at_weight_quarter(self):
-        basis = build_basis(("a",), (-4, -2, 0, 2, 4))
-        forward = transferrer_pi_to_o2(basis, "a")
-        backward = transferrer_o2_to_pi(basis, "a")
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            q = rng.normal(size=2) + 1j * rng.normal(size=2)
-            q /= np.linalg.norm(q)
-            psi = superposition_state(basis, [(ModeIndex("a", "L", 0), q[0]),
-                                              (ModeIndex("a", "R", 0), q[1])])
-            out = apply(backward, apply(forward, psi))
-            assert out.weight == pytest.approx(0.25, abs=1e-12)
-            assert _up_to_phase(out.amplitudes, psi.amplitudes)
-
-    def test_oam_qubit_fidelity_100_random_inputs(self):
-        basis = build_basis(("a",), (-2, 0, 2))
-        op = transferrer_pi_to_o2(basis, "a")
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            q = rng.normal(size=2) + 1j * rng.normal(size=2)
-            q /= np.linalg.norm(q)
-            psi = superposition_state(basis, [(ModeIndex("a", "L", 0), q[0]),
-                                              (ModeIndex("a", "R", 0), q[1])])
-            out = apply(op, psi)
-            target = superposition_state(
-                basis,
-                [(ModeIndex("a", "L", 2), q[0]), (ModeIndex("a", "R", 2), q[0]),
-                 (ModeIndex("a", "L", -2), q[1]), (ModeIndex("a", "R", -2), q[1])])
-            fid = abs(np.vdot(target.amplitudes, out.amplitudes)) ** 2
-            assert fid == pytest.approx(1.0, abs=1e-10)
-
-
 class TestApply:
     def test_identity(self):
         basis = pol_basis()
-        ident = elements.ElementOperator(basis, np.eye(basis.size), "unitary",
-                                         frozenset({"a"}))
+        ident = elements.ElementOperator(basis, np.eye(basis.size))
         psi = h_state(basis)
         out = apply(ident, psi)
         assert np.allclose(out.amplitudes, psi.amplitudes)
-        assert out.weight == 1.0
 
     def test_bs_lift_matches_resymmetrization(self):
         basis = build_basis(("a", "b", "a_prime", "b_prime"), (-2, 2))
@@ -328,21 +101,15 @@ class TestApply:
                 assert lifted.amplitudes.get(k, 0.0) == pytest.approx(
                     resym.amplitudes.get(k, 0.0), abs=1e-10)
 
-    def test_projective_chain_weights_multiply(self):
-        basis = build_basis(("a",), (-2, 0, 2))
-        pol = polarizer("H", basis)
-        smf = smf_filter(basis)
-        left = superposition_state(basis, [(ModeIndex("a", "L", 0), 1.0),
-                                           (ModeIndex("a", "L", 2), 1.0)])
-        step1 = apply(pol, left)
-        step2 = apply(smf, step1)
-        chained = apply(compose(pol, smf), left)
-        assert step2.weight == pytest.approx(step1.weight * (step2.weight / step1.weight))
-        assert chained.weight == pytest.approx(step2.weight, abs=1e-12)
-
     def test_basis_mismatch_rejected(self):
-        op = polarizer("H", pol_basis())
+        op = beam_splitter(build_basis(("a", "b", "a_prime", "b_prime"), (-2, 2)))
         other = superposition_state(build_basis(("b",), (0,)),
                                     [(ModeIndex("b", "L", 0), 1.0)])
         with pytest.raises(fock.BasisMismatchError):
             apply(op, other)
+
+    def test_validate_rejects_a_non_unitary_matrix(self):
+        basis = pol_basis()
+        lossy = elements.ElementOperator(basis, np.diag([1.0, 0.5]))
+        with pytest.raises(fock.ConfigurationError):
+            lossy.validate()

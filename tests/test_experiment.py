@@ -48,7 +48,8 @@ class TestLossBudget:
     def test_probabilities(self):
         b = LossBudget()
         assert b.p_prep == pytest.approx(0.4)
-        assert b.p_det_interval() == (pytest.approx(0.06), pytest.approx(0.1))
+        lo, hi = b.fiber_coupling
+        assert (b.p_det(lo), b.p_det(hi)) == (pytest.approx(0.06), pytest.approx(0.1))
 
     def test_rate_interval(self):
         lo, hi = rate_budget(LossBudget())
@@ -71,6 +72,11 @@ class TestLossBudget:
             LossBudget(default_coupling=0.5)
         with pytest.raises(ConfigurationError):
             LossBudget(source_rate_hz=0.0)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_non_finite_source_rate_rejected(self, rate):
+        with pytest.raises(ConfigurationError):
+            LossBudget(source_rate_hz=rate)
 
 
 class TestFidelityFromCounts:

@@ -67,6 +67,13 @@ class TestTemporalOverlap:
         with pytest.raises(ConfigurationError):
             temporal_overlap(float("nan"), SpectralProfile())
 
+    @pytest.mark.parametrize("wavelength, bandwidth", [
+        (math.nan, 6e-9), (math.inf, 6e-9), (795e-9, math.nan), (795e-9, math.inf)])
+    def test_non_finite_profile_rejected(self, wavelength, bandwidth):
+        from oamclone.fock import ConfigurationError
+        with pytest.raises(ConfigurationError):
+            SpectralProfile(wavelength, bandwidth)
+
 
 class TestInternalOverlap:
     def test_opposite_oam_eigenstates_fully_enhance(self):
@@ -167,3 +174,10 @@ class TestCoincidenceCurve:
         from oamclone.fock import ConfigurationError
         with pytest.raises(ConfigurationError):
             hom_curve(oam_state("a", 1, 0), oam_state("b", 0, 1), [], SpectralProfile())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delay_rejected(self, bad):
+        from oamclone.fock import ConfigurationError
+        with pytest.raises(ConfigurationError):
+            hom_curve(oam_state("a", 1, 0), oam_state("b", 0, 1), [0.0, bad],
+                      SpectralProfile())

@@ -131,3 +131,10 @@ def test_spec_validation():
     spec = QuditSpec(np.array([3.0, 4.0]))
     assert np.linalg.norm(spec.amplitudes) == pytest.approx(1.0)
     assert spec.d == 2
+
+
+@pytest.mark.parametrize("amplitudes", [
+    [np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0], [1.0, complex(0.0, np.nan)]])
+def test_non_finite_amplitudes_rejected(amplitudes):
+    with pytest.raises(ConfigurationError, match="finite"):
+        QuditSpec(np.array(amplitudes))
