@@ -16,16 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cloning, qudit
-from .cloning import QubitSpec
-from .fock import FockError
+# physics modules are imported inside the runners, so a command loads only what it runs
+from . import FockError, __version__
+from .qubit import SIX_STATE_AMPLITUDES, QubitSpec
 
 EXIT_RUNTIME = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 
 STATE_ALIASES = {"+2": "plus2", "-2": "minus2"}
-STATE_NAMES = tuple(cloning.SIX_STATE_AMPLITUDES)
+STATE_NAMES = tuple(SIX_STATE_AMPLITUDES)
 
 
 class ConfigValidationError(Exception):
@@ -206,6 +206,7 @@ def _write_json(path: Path, scenario, config, results):
 
 
 def _hom_states(cfg):
+    from . import cloning
     basis = cloning.cloner_basis()
     qa = QubitSpec.named(cfg["state_a"])
     qb = QubitSpec.named(cfg["state_b"])
@@ -238,6 +239,7 @@ def run_hom(config, out_dir, want_svg):
 
 
 def run_clone(config, out_dir, want_svg):
+    from . import cloning
     cfg = config["clone"]
     q = QubitSpec.named(cfg["input"])
     result = cloning.run_cloner_full(q, cfg["ancilla_samples"], seed=config["seed"])
@@ -254,6 +256,7 @@ def run_clone(config, out_dir, want_svg):
 
 
 def run_qudit(config, out_dir, want_svg):
+    from . import qudit
     cfg = config["qudit"]
     rng = np.random.default_rng(config["seed"])
     rows = []
@@ -315,7 +318,7 @@ def run_experiment(config, out_dir, want_svg):
 
 
 def run_stokes(config, out_dir, want_svg):
-    from . import experiment
+    from . import cloning, experiment
     cfg = config["stokes"]
     seeds = np.random.SeedSequence(config["seed"]).spawn(
         len(cfg["states"]) * cfg["runs"])

@@ -14,7 +14,6 @@ projects the input (x) ancilla pair on the symmetric subspace (numpy only).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -30,65 +29,14 @@ from .fock import (
     PhotonState,
     build_basis,
 )
-from .qudit import symmetric_subspace_clone
+from .qubit import (PAULI, SIX_STATE_AMPLITUDES, QubitSpec,  # noqa: F401
+                    haar_random_qubit, stokes_vector)
 
 OAM_PLUS = 2
 OAM_MINUS = -2
 _POL = "L"  # both photons share one polarization; the qubit is OAM only
 
-PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 _FLIP = np.array([[0, 1], [1, 0]], dtype=complex)  # OAM sign inversion on o2
-
-# the six states measured in the universality test, as (alpha, beta) on (+2, -2)
-SIX_STATE_AMPLITUDES = {
-    "h": (1 / math.sqrt(2), 1 / math.sqrt(2)),
-    "v": (1 / (1j * math.sqrt(2)), -1 / (1j * math.sqrt(2))),
-    "minus2": (0.0, 1.0),
-    "plus2": (1.0, 0.0),
-    "a": ((1 - 1j) / 2, (1 + 1j) / 2),
-    "d": ((1 + 1j) / 2, (1 - 1j) / 2),
-}
-
-
-@dataclass
-class QubitSpec:
-    """Normalized qubit amplitudes on the {+2, -2} basis."""
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
-            raise InvalidStateError("qubit amplitudes must be finite")
-        nrm = math.sqrt(abs(self.alpha) ** 2 + abs(self.beta) ** 2)
-        if abs(nrm - 1.0) > 1e-12:
-            if nrm < 1e-15:
-                raise InvalidStateError("zero qubit amplitudes")
-            self.alpha /= nrm
-            self.beta /= nrm
-
-    @classmethod
-    def named(cls, label: str) -> "QubitSpec":
-        try:
-            a, b = SIX_STATE_AMPLITUDES[label]
-        except KeyError:
-            raise ConfigurationError(f"unknown state label {label!r}") from None
-        return cls(a, b)
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta], dtype=complex)
-
-    def bloch(self) -> np.ndarray:
-        v = self.vector()
-        return np.array([np.real(np.vdot(v, PAULI[ax] @ v)) for ax in "xyz"])
-
-    def orthogonal(self) -> "QubitSpec":
-        return QubitSpec(-self.beta.conjugate(), self.alpha.conjugate())
 
 
 @dataclass
@@ -125,14 +73,6 @@ def embed_qubit(qubit: QubitSpec, basis, path: str) -> PhotonState:
         (ModeIndex(path, _POL, OAM_PLUS), qubit.alpha),
         (ModeIndex(path, _POL, OAM_MINUS), qubit.beta),
     ])
-
-
-def stokes_vector(rho: np.ndarray) -> np.ndarray:
-    """Pauli expectation values of a 2x2 density matrix on (+2, -2)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ConfigurationError("stokes_vector expects a 2x2 density matrix")
-    return np.array([np.real(np.trace(rho @ PAULI[ax])) for ax in "xyz"])
 
 
 def _extract_o2(rho1: DensityOperator, path: str) -> np.ndarray:
@@ -213,6 +153,7 @@ def run_cloner_projector(qubit: QubitSpec, n_ancilla_samples: int | None = None,
     pair there is projected from rho (x) X sigma X; half of the coalescing
     pairs exit in a'.
     """
+    from .qudit import symmetric_subspace_clone
     sigma = sum(w * _FLIP @ np.outer(chi.vector(), chi.vector().conj()) @ _FLIP
                 for chi, w in _ancilla_states(n_ancilla_samples, seed))
     target = qubit.vector()
@@ -264,9 +205,3 @@ def universality_sweep(n: int, seed: int | None = 0, f_prep: float = 1.0) -> Swe
     values = np.array(list(fids.values()))
     return SweepSummary(fids, float(values.min()), float(values.max()),
                         float(values.mean()), float(values.std()))
-
-
-def haar_random_qubit(rng) -> QubitSpec:
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    return QubitSpec(v[0], v[1])

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cloning
-from .fock import ConfigurationError
-from .cloning import QubitSpec
+from . import ConfigurationError
+from .qubit import QubitSpec
 
 TABLE_ONE_STATES = ("h", "v", "minus2", "plus2", "a", "d")
 
@@ -131,8 +130,10 @@ def simulate_counts(input_qubit: QubitSpec, model: ImperfectionModel,
     means duration * rate * F and duration * rate * (1 - F), where
     F = predicted_fidelity(model).  Deterministic for a fixed seed.
     """
-    if duration_s < 0:
-        raise ConfigurationError("duration must be nonnegative")
+    if not (math.isfinite(duration_s) and duration_s >= 0):
+        raise ConfigurationError("duration must be finite and nonnegative")
+    if coupling is not None and not 0.0 <= coupling <= 1.0:
+        raise ConfigurationError("coupling must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     rate = budget.rate(budget.default_coupling if coupling is None else coupling)
     f = predicted_fidelity(model)
@@ -183,10 +184,12 @@ def simulate_stokes(input_qubit: QubitSpec, counts_per_basis: int, seed, *,
     ``ideal`` is the ideal clone's Stokes vector; left out, it is computed
     with ``cloning.run_cloner_full(input_qubit)``.
     """
-    if counts_per_basis < 1:
-        raise ConfigurationError("counts_per_basis must be >= 1")
+    if not (math.isfinite(counts_per_basis) and counts_per_basis >= 1
+            and counts_per_basis == int(counts_per_basis)):
+        raise ConfigurationError("counts_per_basis must be a finite integer >= 1")
     rng = np.random.default_rng(seed)
     if ideal is None:
+        from . import cloning
         ideal = cloning.run_cloner_full(input_qubit).stokes
     est = np.zeros(3)
     for i, s in enumerate(ideal):

@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import (BasisMismatchError, ConfigurationError, FockError,  # noqa: F401
+               InvalidStateError)
+
 PATHS = ("a", "b", "a_prime", "b_prime")
 POLS = ("L", "R")
 DEFAULT_OAM_SET = (-2, 0, 2)
@@ -22,22 +25,6 @@ DEFAULT_OAM_SET = (-2, 0, 2)
 NORM_ATOL = 1e-12
 HERM_ATOL = 1e-12
 PSD_ATOL = 1e-10
-
-
-class FockError(Exception):
-    """Base class for state-algebra errors."""
-
-
-class ConfigurationError(FockError):
-    """Invalid basis or operator configuration."""
-
-
-class BasisMismatchError(FockError):
-    """Objects defined over different mode bases were combined."""
-
-
-class InvalidStateError(FockError):
-    """State construction from degenerate input (e.g. all-zero amplitudes)."""
 
 
 @dataclass(frozen=True, order=True)

@@ -102,6 +102,8 @@ def coincidence_expectation(psi_a: PhotonState, psi_b: PhotonState,
     C(delay) = baseline * (1 + v(delay)^2 * mu), with the fully
     distinguishable rate as the baseline.
     """
+    if not (math.isfinite(baseline) and baseline > 0):
+        raise ConfigurationError("baseline must be finite and positive")
     mu = internal_overlap(psi_a, psi_b)
     v = temporal_overlap(delay, profile)
     return baseline * (1.0 + v * v * mu)
@@ -126,6 +128,8 @@ def hom_curve(psi_a: PhotonState, psi_b: PhotonState, delays,
         raise ConfigurationError("empty delay scan")
     if not np.all(np.isfinite(delays)):
         raise ConfigurationError("delays must be finite")
+    if not (math.isfinite(baseline) and baseline > 0):
+        raise ConfigurationError("baseline must be finite and positive")
     mu = internal_overlap(psi_a, psi_b)
     v = np.exp(-KAPPA * (delays / coherence_length(profile)) ** 2)
     coincidences = baseline * (1.0 + v * v * mu)

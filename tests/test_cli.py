@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -169,13 +170,18 @@ def test_emitted_pairs_at_their_bound_run_at_the_highest_rate(tmp_path):
 
 @pytest.mark.parametrize("scenario, used, absent", [
     ("clone", "oamclone.cloning", {"yaml", "oamclone.svgplot", "oamclone.experiment",
-                                   "oamclone.interference"}),
+                                   "oamclone.interference", "oamclone.qudit"}),
     ("qudit", "oamclone.qudit", {"yaml", "oamclone.svgplot", "oamclone.experiment",
                                  "oamclone.interference"}),
     ("hom", "oamclone.interference", {"yaml", "oamclone.svgplot",
-                                      "oamclone.experiment"}),
+                                      "oamclone.experiment", "oamclone.qudit"}),
     ("stokes", "oamclone.experiment", {"yaml", "oamclone.svgplot",
-                                       "oamclone.interference"}),
+                                       "oamclone.interference", "oamclone.qudit"}),
+    # Table 1 needs qubit states and Poisson draws, not the Fock-space simulator
+    ("experiment", "oamclone.experiment", {"yaml", "oamclone.svgplot",
+                                           "oamclone.interference", "oamclone.fock",
+                                           "oamclone.elements", "oamclone.cloning",
+                                           "oamclone.qudit"}),
 ])
 def test_scenario_imports_only_what_it_runs(scenario, used, absent, tmp_path):
     """Without --config and --svg a scenario imports neither yaml nor svgplot,
@@ -191,6 +197,27 @@ def test_scenario_imports_only_what_it_runs(scenario, used, absent, tmp_path):
     assert exit_code == 0
     assert absent.isdisjoint(loaded)
     assert used in loaded
+
+
+def test_importing_the_cli_loads_no_physics_module(tmp_path):
+    code = "import json, sys\nimport oamclone.cli\nprint(json.dumps(sorted(sys.modules)))\n"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path, env=child_env())
+    assert res.returncode == 0, res.stderr
+    loaded = set(json.loads(res.stdout))
+    assert {m for m in loaded if m.startswith("oamclone")} == {
+        "oamclone", "oamclone.cli", "oamclone.qubit"}
+    assert "yaml" not in loaded
+
+
+def test_lazy_package_exports_are_their_modules_objects():
+    for name, module in oamclone._EXPORTS.items():
+        owner = importlib.import_module(f"oamclone.{module}")
+        assert getattr(oamclone, name) is getattr(owner, name)
+        assert getattr(owner, name).__module__ == owner.__name__
+        assert name in dir(oamclone)
+    with pytest.raises(AttributeError):
+        oamclone.no_such_name
 
 
 @pytest.mark.parametrize("scenario", ["hom", "clone", "qudit", "experiment", "stokes"])

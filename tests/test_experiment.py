@@ -131,6 +131,18 @@ class TestSimulateCounts:
         assert rec.total == 0
         assert math.isnan(rec.f_exp)
 
+    @pytest.mark.parametrize("duration_s", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, duration_s):
+        with pytest.raises(ConfigurationError, match="finite"):
+            simulate_counts(QubitSpec.named("h"), ImperfectionModel(), LossBudget(),
+                            duration_s, 0)
+
+    @pytest.mark.parametrize("coupling", [math.nan, -1.0, 2.0])
+    def test_coupling_outside_the_unit_interval_rejected(self, coupling):
+        with pytest.raises(ConfigurationError, match="coupling"):
+            simulate_counts(QubitSpec.named("h"), ImperfectionModel(), LossBudget(),
+                            600.0, 0, coupling=coupling)
+
 
 class TestTableOneRun:
     def test_covers_the_six_states_and_tracks_the_prediction(self):
@@ -171,3 +183,8 @@ class TestSimulateStokes:
     def test_bad_count_request(self):
         with pytest.raises(ConfigurationError):
             simulate_stokes(QubitSpec.named("h"), 0, 0)
+
+    @pytest.mark.parametrize("counts", [math.inf, math.nan, 2.5])
+    def test_count_request_must_be_a_finite_integer(self, counts):
+        with pytest.raises(ConfigurationError, match="finite integer"):
+            simulate_stokes(QubitSpec.named("h"), counts, 0)

@@ -181,3 +181,12 @@ class TestCoincidenceCurve:
         with pytest.raises(ConfigurationError):
             hom_curve(oam_state("a", 1, 0), oam_state("b", 0, 1), [0.0, bad],
                       SpectralProfile())
+
+    @pytest.mark.parametrize("baseline", [math.nan, math.inf, 0.0, -1.0])
+    def test_baseline_must_be_finite_and_positive(self, baseline):
+        from oamclone.fock import ConfigurationError
+        pa, pb = oam_state("a", 1, 0), oam_state("b", 0, 1)
+        with pytest.raises(ConfigurationError, match="baseline"):
+            hom_curve(pa, pb, [0.0], SpectralProfile(), baseline=baseline)
+        with pytest.raises(ConfigurationError, match="baseline"):
+            coincidence_expectation(pa, pb, 0.0, SpectralProfile(), baseline=baseline)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oamclone import cloning, elements, fock
+from oamclone import cloning, elements, fock, qubit
 from oamclone.fock import ConfigurationError
 from oamclone.qudit import (
     QuditSpec,
@@ -95,8 +95,8 @@ class TestSymmetricSubspaceOracle:
             assert np.trace(clone) == pytest.approx(1.0, abs=1e-12)
 
     def test_shares_no_code_with_the_simulator(self):
-        simulator = {"fock", "elements", "cloning"}
-        for module in (fock, elements, cloning):
+        simulator = {"fock", "elements", "cloning", "qubit"}
+        for module in (fock, elements, cloning, qubit):
             simulator |= {name for name, obj in vars(module).items()
                           if getattr(obj, "__module__", None) == module.__name__}
         assert not set(symmetric_subspace_clone.__code__.co_names) & simulator
