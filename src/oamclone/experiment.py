@@ -22,6 +22,7 @@ from . import ConfigurationError
 from .qubit import QubitSpec
 
 TABLE_ONE_STATES = ("h", "v", "minus2", "plus2", "a", "d")
+POISSON_MEAN_MAX = 9.223372006484771e18  # numpy's poisson limit: int64 max - 10 sqrt(int64 max)
 
 
 @dataclass
@@ -111,8 +112,8 @@ class CountRecord:
 
 def fidelity_from_counts(c1: int, c2: int):
     """Count-ratio fidelity estimate with its binomial standard error."""
-    if c1 < 0 or c2 < 0:
-        raise ConfigurationError("counts must be nonnegative")
+    if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0 for c in (c1, c2)):
+        raise ConfigurationError(f"counts must be nonnegative integers, got {(c1, c2)!r}")
     total = c1 + c2
     if total == 0:
         raise ConfigurationError("undefined fidelity estimate: zero total counts")
@@ -136,7 +137,9 @@ def simulate_counts(input_qubit: QubitSpec, model: ImperfectionModel,
         raise ConfigurationError("coupling must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     rate = budget.rate(budget.default_coupling if coupling is None else coupling)
-    f = predicted_fidelity(model)
+    f = predicted_fidelity(model)  # >= 1/2, so c1 has the larger Poisson mean
+    if duration_s * rate * f > POISSON_MEAN_MAX:
+        raise ConfigurationError(f"Poisson mean {duration_s * rate * f:.3g} above numpy's limit")
     c1 = int(rng.poisson(duration_s * rate * f))
     c2 = int(rng.poisson(duration_s * rate * (1.0 - f)))
     if c1 + c2 == 0:
@@ -184,9 +187,10 @@ def simulate_stokes(input_qubit: QubitSpec, counts_per_basis: int, seed, *,
     ``ideal`` is the ideal clone's Stokes vector; left out, it is computed
     with ``cloning.run_cloner_full(input_qubit)``.
     """
-    if not (math.isfinite(counts_per_basis) and counts_per_basis >= 1
-            and counts_per_basis == int(counts_per_basis)):
-        raise ConfigurationError("counts_per_basis must be a finite integer >= 1")
+    if (isinstance(counts_per_basis, (bool, np.bool_))
+            or not 1 <= counts_per_basis <= POISSON_MEAN_MAX
+            or counts_per_basis != int(counts_per_basis)):
+        raise ConfigurationError("counts_per_basis must be a finite integer, 1 to POISSON_MEAN_MAX")
     rng = np.random.default_rng(seed)
     if ideal is None:
         from . import cloning

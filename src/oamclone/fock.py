@@ -10,6 +10,8 @@ magnitudes of all key amplitudes sum to one.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -53,6 +55,7 @@ class ModeBasis:
                 raise ConfigurationError(f"duplicate mode {mode}")
             lookup[mode] = pos
         self.modes = modes
+        self.mode_paths = tuple(m.path for m in modes)
         self._lookup = lookup
         self.oam_set = frozenset(m.oam for m in modes)
         self.paths = frozenset(m.path for m in modes)
@@ -86,6 +89,14 @@ class ModeBasis:
         """Canonical enumeration of unordered index pairs (i <= j)."""
         n = self.size
         return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+@functools.lru_cache(maxsize=32)
+def _upper_triangle(n: int):
+    """Row and column of each pair key i <= j in row-major order, and the
+    S -> key amplitude scale: sqrt(2) on the diagonal, 2 off it."""
+    rows, cols = np.triu_indices(n)
+    return rows, cols, np.where(rows == cols, math.sqrt(2.0), 2.0)
 
 
 def build_basis(paths, oam_set=DEFAULT_OAM_SET, pols=POLS) -> ModeBasis:
@@ -172,24 +183,17 @@ class TwoPhotonState:
         n = self.basis.size
         s = np.zeros((n, n), dtype=complex)
         for (i, j), amp in self.amplitudes.items():
-            if i == j:
-                s[i, i] = amp / math.sqrt(2.0)
-            else:
-                s[i, j] = amp / 2.0
-                s[j, i] = amp / 2.0
+            s[i, j] = s[j, i] = amp / math.sqrt(2.0) if i == j else amp / 2.0
         return s
 
     @classmethod
     def from_sym_matrix(cls, basis: ModeBasis, s: np.ndarray,
                         prune: float = 1e-15) -> "TwoPhotonState":
-        amps = {}
-        n = basis.size
-        for i in range(n):
-            for j in range(i, n):
-                amp = math.sqrt(2.0) * s[i, i] if i == j else 2.0 * s[i, j]
-                if abs(amp) > prune:
-                    amps[(i, j)] = complex(amp)
-        return cls(basis, amps)
+        rows, cols, scale = _upper_triangle(basis.size)
+        amps = np.multiply(scale, s[rows, cols], dtype=complex)
+        (kept,) = np.nonzero(np.hypot(amps.real, amps.imag) > prune)
+        keys = zip(rows[kept].tolist(), cols[kept].tolist())
+        return cls(basis, dict(zip(keys, amps[kept].tolist())))
 
     def to_vector(self, pair_keys=None) -> np.ndarray:
         keys = pair_keys if pair_keys is not None else self.basis.pair_keys()
@@ -210,20 +214,25 @@ def symmetrize_product(psi_a: PhotonState, psi_b: PhotonState) -> TwoPhotonState
         raise BasisMismatchError("photons must share a basis")
     u = psi_a.amplitudes
     v = psi_b.amplitudes
-    amps = {}
     (nz_u,) = np.nonzero(np.abs(u) > 1e-15)
     (nz_v,) = np.nonzero(np.abs(v) > 1e-15)
-    for i in nz_u:
-        for j in nz_v:
-            key = (min(i, j), max(i, j))
-            if i == j:
-                amps[key] = amps.get(key, 0.0) + math.sqrt(2.0) * u[i] * v[j]
-            else:
-                amps[key] = amps.get(key, 0.0) + u[i] * v[j]
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    terms = {}
+    v_terms = list(zip(nz_v.tolist(), v[nz_v].tolist()))
+    for i, ui in zip(nz_u.tolist(), u[nz_u].tolist()):
+        for j, vj in v_terms:
+            key = (i, j) if i < j else (j, i)
+            term = complex(math.sqrt(2.0)) * ui * vj if i == j else ui * vj
+            terms[key] = terms.get(key, 0j) + term
+    amps = np.fromiter(terms.values(), complex, len(terms))
+    # sum abs(a) ** 2 in key order, with the rounding of the scalar expression
+    squares = np.float_power(np.hypot(amps.real, amps.imag), 2)
+    norm = math.sqrt(np.cumsum(squares)[-1]) if terms else 0.0
     if norm < 1e-15:
         raise InvalidStateError("symmetrized product has zero norm")
-    return TwoPhotonState(psi_a.basis, {k: a / norm for k, a in amps.items() if abs(a / norm) > 1e-15})
+    amps = amps / norm
+    keep = (np.hypot(amps.real, amps.imag) > 1e-15).tolist()
+    return TwoPhotonState(psi_a.basis, dict(zip(itertools.compress(terms, keep),
+                                                itertools.compress(amps, keep))))
 
 
 def project_keys(state: TwoPhotonState, path: str) -> tuple:
@@ -232,9 +241,9 @@ def project_keys(state: TwoPhotonState, path: str) -> tuple:
     Returns (normalized projected state, success probability relative to the
     input).
     """
-    modes = state.basis.modes
+    paths = state.basis.mode_paths
     kept = {(i, j): a for (i, j), a in state.amplitudes.items()
-            if modes[i].path == path and modes[j].path == path}
+            if paths[i] == path and paths[j] == path}
     prob = sum(abs(a) ** 2 for a in kept.values())
     if prob < 1e-30:
         return TwoPhotonState(state.basis, {}), 0.0

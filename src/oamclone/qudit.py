@@ -12,6 +12,7 @@ success probability.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,13 @@ def _default_labels(d: int, oam_flip: bool):
     return list(range(d))
 
 
+@functools.lru_cache(maxsize=32)
+def _qudit_optics(labels: tuple, oam_flip: bool):
+    """Mode basis and beam splitter of one label set, built once per process."""
+    basis = build_basis(("a", "b", "a_prime", "b_prime"), labels, pols=(_POL,))
+    return basis, elements.beam_splitter(basis, oam_flip=oam_flip)
+
+
 def qudit_clone(spec: QuditSpec, labels=None, oam_flip: bool = False) -> QuditCloneResult:
     """Run the symmetrization channel with an I_d/d ancilla.
 
@@ -104,8 +112,7 @@ def qudit_clone(spec: QuditSpec, labels=None, oam_flip: bool = False) -> QuditCl
         raise ConfigurationError("labels must be d distinct integers")
     if oam_flip and any(-m not in labels for m in labels):
         raise ConfigurationError("labels not closed under m -> -m; use oam_flip=False")
-    basis = build_basis(("a", "b", "a_prime", "b_prime"), labels, pols=(_POL,))
-    bs = elements.beam_splitter(basis, oam_flip=oam_flip)
+    basis, bs = _qudit_optics(tuple(labels), bool(oam_flip))
 
     def embed(vec, path):
         return fock.superposition_state(

@@ -96,6 +96,16 @@ class TestFidelityFromCounts:
         with pytest.raises(ConfigurationError):
             fidelity_from_counts(-1, 5)
 
+    @pytest.mark.parametrize("counts", [(1.5, 2), (True, 2), (math.nan, 2), (math.inf, 2),
+                                        (2, 2.0)],
+                             ids=["fraction", "bool", "nan", "inf", "float"])
+    def test_counts_must_be_nonnegative_integers(self, counts):
+        with pytest.raises(ConfigurationError, match="integers"):
+            fidelity_from_counts(*counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert fidelity_from_counts(np.int64(300), 100) == fidelity_from_counts(300, 100)
+
 
 class TestSimulateCounts:
     def test_deterministic_for_a_fixed_seed(self):
@@ -136,6 +146,10 @@ class TestSimulateCounts:
         with pytest.raises(ConfigurationError, match="finite"):
             simulate_counts(QubitSpec.named("h"), ImperfectionModel(), LossBudget(),
                             duration_s, 0)
+
+    def test_poisson_mean_above_numpys_limit_rejected(self):
+        with pytest.raises(ConfigurationError, match="Poisson mean"):
+            simulate_counts(QubitSpec.named("h"), ImperfectionModel(), LossBudget(), 1e300, 0)
 
     @pytest.mark.parametrize("coupling", [math.nan, -1.0, 2.0])
     def test_coupling_outside_the_unit_interval_rejected(self, coupling):
@@ -184,7 +198,8 @@ class TestSimulateStokes:
         with pytest.raises(ConfigurationError):
             simulate_stokes(QubitSpec.named("h"), 0, 0)
 
-    @pytest.mark.parametrize("counts", [math.inf, math.nan, 2.5])
+    @pytest.mark.parametrize("counts", [math.inf, math.nan, 2.5, 10 ** 400, True, 1e300],
+                             ids=["inf", "nan", "2.5", "int_beyond_float", "bool", "1e300"])
     def test_count_request_must_be_a_finite_integer(self, counts):
         with pytest.raises(ConfigurationError, match="finite integer"):
             simulate_stokes(QubitSpec.named("h"), counts, 0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oamclone import fock
+from oamclone import elements, fock
 from oamclone.fock import (
     ConfigurationError,
     InvalidStateError,
@@ -41,6 +41,141 @@ def dense_symmetrization_oracle(psi_a, psi_b):
                 amps[(i, j)] = amp
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
     return {k: a / norm for k, a in amps.items()}
+
+
+# Plain-loop copies of the two-photon kernels as they stood before numpy took
+# over their per-pair work.  The kernels must give the same keys, in the same
+# order, with equal values.
+
+def _loop_to_sym_matrix(state):
+    n = state.basis.size
+    s = np.zeros((n, n), dtype=complex)
+    for (i, j), amp in state.amplitudes.items():
+        if i == j:
+            s[i, i] = amp / math.sqrt(2.0)
+        else:
+            s[i, j] = amp / 2.0
+            s[j, i] = amp / 2.0
+    return s
+
+
+def _loop_from_sym_matrix(basis, s, prune=1e-15):
+    amps = {}
+    n = basis.size
+    for i in range(n):
+        for j in range(i, n):
+            amp = math.sqrt(2.0) * s[i, i] if i == j else 2.0 * s[i, j]
+            if abs(amp) > prune:
+                amps[(i, j)] = complex(amp)
+    return amps
+
+
+def _loop_symmetrize_product(psi_a, psi_b):
+    u = psi_a.amplitudes
+    v = psi_b.amplitudes
+    amps = {}
+    (nz_u,) = np.nonzero(np.abs(u) > 1e-15)
+    (nz_v,) = np.nonzero(np.abs(v) > 1e-15)
+    for i in nz_u:
+        for j in nz_v:
+            key = (min(i, j), max(i, j))
+            if i == j:
+                amps[key] = amps.get(key, 0.0) + math.sqrt(2.0) * u[i] * v[j]
+            else:
+                amps[key] = amps.get(key, 0.0) + u[i] * v[j]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return {k: a / norm for k, a in amps.items() if abs(a / norm) > 1e-15}
+
+
+def _loop_project_keys(state, path):
+    modes = state.basis.modes
+    kept = {(i, j): a for (i, j), a in state.amplitudes.items()
+            if modes[i].path == path and modes[j].path == path}
+    prob = sum(abs(a) ** 2 for a in kept.values())
+    if prob < 1e-30:
+        return {}, 0.0
+    scale = 1.0 / math.sqrt(prob)
+    return {k: a * scale for k, a in kept.items()}, prob
+
+
+def _cloner_paths_basis(d):
+    """The qubit cloner's basis for d = 2 (OAM -2, 2), the qudit cloner's otherwise."""
+    labels = (-2, 2) if d == 2 else range(d)
+    return build_basis(("a", "b", "a_prime", "b_prime"), labels, pols=("L",))
+
+
+def _photon(basis, rng, modes):
+    v = np.zeros(basis.size, dtype=complex)
+    v[modes] = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+    return PhotonState(basis, v / np.linalg.norm(v))
+
+
+def _photon_pairs(basis, rng):
+    """Photon pairs whose supports are disjoint, shared or partly shared."""
+    q = basis.size // 4  # modes per path: a, b, a', b'
+    a_modes, b_modes = list(range(q)), list(range(q, 2 * q))
+    pa = _photon(basis, rng, a_modes)
+    yield pa, _photon(basis, rng, b_modes)  # the cloner's input: one path each
+    yield pa, pa  # identical photons: every key of a shared mode is diagonal
+    everywhere = list(range(basis.size))
+    # every pair {p, q} gets two terms, p == q one diagonal term
+    yield _photon(basis, rng, everywhere), _photon(basis, rng, everywhere)
+    # photon b below and above photon a: keys first met out of row-major order
+    yield _photon(basis, rng, [1, 2]), _photon(basis, rng, [0, 2, 3])
+    for _ in range(5):
+        yield tuple(_photon(basis, rng, sorted(rng.choice(basis.size, rng.integers(1, q + 2),
+                                                          replace=False)))
+                    for _ in range(2))
+
+
+def _assert_same_pairs(amps, reference):
+    assert list(amps) == list(reference)
+    assert list(amps.values()) == list(reference.values())
+
+
+@pytest.mark.parametrize("d", [2, 24], ids=["n=8", "n=96"])
+class TestKernelsMatchTheLoopReference:
+    def test_symmetrize_product(self, d):
+        basis = _cloner_paths_basis(d)
+        for pa, pb in _photon_pairs(basis, np.random.default_rng(d)):
+            _assert_same_pairs(symmetrize_product(pa, pb).amplitudes,
+                               _loop_symmetrize_product(pa, pb))
+
+    def test_to_sym_matrix(self, d):
+        basis = _cloner_paths_basis(d)
+        bs = elements.beam_splitter(basis, oam_flip=d == 2)
+        for pa, pb in _photon_pairs(basis, np.random.default_rng(d + 1)):
+            two = symmetrize_product(pa, pb)
+            out = elements.apply(bs, two)
+            for state in (two, out, fock.project_keys(out, "a_prime")[0]):
+                assert np.array_equal(state.to_sym_matrix(), _loop_to_sym_matrix(state))
+
+    def test_from_sym_matrix(self, d):
+        basis = _cloner_paths_basis(d)
+        rng = np.random.default_rng(d + 2)
+        n = basis.size
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for pa, pb in _photon_pairs(basis, rng):
+            s = m @ symmetrize_product(pa, pb).to_sym_matrix() @ m.T
+            s[0, 1] = s[1, 0] = 0.5e-15  # key amplitude exactly at the prune threshold
+            s[0, 2] = s[2, 0] = 0.5e-15j
+            s[1, 2] = s[2, 1] = np.nextafter(1e-15, 1.0) / 2.0  # just above it
+            s[3, 3] = 0.0
+            amps = TwoPhotonState.from_sym_matrix(basis, s).amplitudes
+            _assert_same_pairs(amps, _loop_from_sym_matrix(basis, s))
+            assert (0, 1) not in amps and (0, 2) not in amps and (3, 3) not in amps
+            assert amps[(1, 2)] == np.nextafter(1e-15, 1.0)
+
+    def test_project_keys(self, d):
+        basis = _cloner_paths_basis(d)
+        bs = elements.beam_splitter(basis, oam_flip=d == 2)
+        for pa, pb in _photon_pairs(basis, np.random.default_rng(d + 3)):
+            out = elements.apply(bs, symmetrize_product(pa, pb))
+            for path in ("a_prime", "b_prime", "a"):
+                kept, prob = fock.project_keys(out, path)
+                ref_kept, ref_prob = _loop_project_keys(out, path)
+                _assert_same_pairs(kept.amplitudes, ref_kept)
+                assert prob == ref_prob
 
 
 class TestBuildBasis:

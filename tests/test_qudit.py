@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oamclone import cloning, elements, fock, qubit
+from oamclone import cloning, elements, fock, qubit, qudit
 from oamclone.fock import ConfigurationError
 from oamclone.qudit import (
     QuditSpec,
@@ -121,6 +121,21 @@ class TestOamFlipMode:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ConfigurationError):
             qudit_clone(QuditSpec(np.ones(2)), labels=(1, 1))
+
+    def test_optics_are_cached_per_label_set_and_flip(self):
+        qudit._qudit_optics.cache_clear()
+        spec = random_qudit(4, np.random.default_rng(8))
+        f, p = qudit_formula(4)
+        cases = [((0, 1, 2, 3), False), ((-3, -1, 1, 3), False), ((-3, -1, 1, 3), True)]
+        for _ in range(2):
+            for labels, flip in cases:
+                res = qudit_clone(spec, labels=labels, oam_flip=flip)
+                assert res.fidelity == pytest.approx(f, abs=1e-10)
+                assert res.success_probability == pytest.approx(p, abs=1e-10)
+        info = qudit._qudit_optics.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+        splitters = [qudit._qudit_optics(labels, flip)[1].matrix for labels, flip in cases]
+        assert not np.array_equal(splitters[1], splitters[2])  # the flip moves reflected modes
 
 
 def test_spec_validation():
