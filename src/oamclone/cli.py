@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,17 +33,6 @@ class ConfigValidationError(Exception):
     pass
 
 
-def _positive(x):
-    return 0 < x < math.inf
-
-
-def _finite(constraint=None):
-    """Spec of a float key: a number with a finite float value that ``constraint``
-    accepts.  NaN fails every comparison; infinities and huge ints fail the first."""
-    return (int, float), lambda v: (abs(v) <= sys.float_info.max
-                                    and (constraint is None or constraint(v)))
-
-
 # Upper bounds on the sizes a config controls, with the compute time at the
 # bound (2-core Xeon, Python 3.11, numpy 2.4):
 MAX_D = 24  # qudit d = 1..24 in 1.8 s; the time grows about as d^3.5
@@ -56,72 +46,8 @@ MAX_ANCILLA_SAMPLES = 100_000  # 0.17 ms per sampled ancilla: 17 s
 # 0.1875 * source_rate_hz
 MAX_SOURCE_PAIRS = 1e18
 
-
-DEFAULTS = {
-    "seed": 0,
-    "hom": {
-        "state_a": "plus2",
-        "state_b": "minus2",
-        "delay_min_um": -300.0,
-        "delay_max_um": 300.0,
-        "delay_steps": 61,
-        "wavelength_nm": 795.0,
-        "bandwidth_nm": 6.0,
-    },
-    "clone": {
-        "input": "h",
-        "ancilla_samples": None,
-    },
-    "qudit": {
-        "d_min": 1,
-        "d_max": 8,
-    },
-    "experiment": {
-        "duration_s": 600.0,
-        "f_prep": 0.96,
-        "enhancement": 1.97,
-        "source_rate_hz": 5000.0,
-        "qplate_efficiency": 0.8,
-        "transferrer_success": 0.5,
-        "coupling_min": 0.15,
-        "coupling_max": 0.25,
-        "coupling": 1.0 / 6.0,
-    },
-    "stokes": {
-        "states": list(STATE_NAMES),
-        "counts_per_basis": 400,
-        "runs": 25,
-    },
-}
-
-# key -> (expected types, constraint or None)
-_SCHEMA = {
-    "seed": (int, lambda v: 0 <= v < 2 ** 64),
-    "hom.state_a": (str, None),
-    "hom.state_b": (str, None),
-    "hom.delay_min_um": _finite(),
-    "hom.delay_max_um": _finite(),
-    "hom.delay_steps": (int, lambda v: 1 <= v <= MAX_DELAY_STEPS),
-    "hom.wavelength_nm": _finite(_positive),
-    "hom.bandwidth_nm": _finite(_positive),
-    "clone.input": (str, None),
-    "clone.ancilla_samples": ((int, type(None)),
-                              lambda v: v is None or 1 <= v <= MAX_ANCILLA_SAMPLES),
-    "qudit.d_min": (int, lambda v: v >= 1),
-    "qudit.d_max": (int, lambda v: 1 <= v <= MAX_D),
-    "experiment.duration_s": _finite(lambda v: v >= 0),
-    "experiment.f_prep": _finite(lambda v: 0.5 <= v <= 1.0),
-    "experiment.enhancement": _finite(lambda v: 1.0 <= v <= 2.0),
-    "experiment.source_rate_hz": _finite(_positive),
-    "experiment.qplate_efficiency": _finite(lambda v: 0.0 <= v <= 1.0),
-    "experiment.transferrer_success": _finite(lambda v: 0.0 <= v <= 1.0),
-    "experiment.coupling_min": _finite(lambda v: 0.0 <= v <= 1.0),
-    "experiment.coupling_max": _finite(lambda v: 0.0 <= v <= 1.0),
-    "experiment.coupling": _finite(lambda v: 0.0 <= v <= 1.0),
-    "stokes.states": (list, lambda v: 1 <= len(v) <= MAX_STOKES_STATES),
-    "stokes.counts_per_basis": (int, lambda v: 1 <= v <= MAX_COUNTS_PER_BASIS),
-    "stokes.runs": (int, lambda v: 1 <= v <= MAX_STOKES_RUNS),
-}
+FLOAT_MAX = sys.float_info.max
+POSITIVE = math.ulp(0.0)  # the least float above 0: "> 0" as an inclusive bound
 
 
 def _state_label(raw, where):
@@ -136,38 +62,105 @@ def _state_label(raw, where):
     return label
 
 
+def _state_list(raw, where):
+    if not 1 <= len(raw) <= MAX_STOKES_STATES:
+        raise ConfigValidationError(f"{where}: value {raw!r} out of range")
+    return [_state_label(s, where) for s in raw]
+
+
+class Key(NamedTuple):
+    """One config key: its default, the types it accepts (a bool never
+    passes) and either the inclusive range [lo, hi] its value must lie in or
+    a normalizer ``(value, key name) -> value``.  The default range of a
+    float key is every finite float: NaN fails every comparison, and
+    infinities and huge ints fail the bounds."""
+
+    default: object
+    types: tuple = (int, float)
+    lo: float = -FLOAT_MAX
+    hi: float = FLOAT_MAX
+    normalize: Optional[Callable] = None
+
+
+# Every config key, named "<section>.<key>" ("seed" has no section).
+KEYS = {
+    "seed": Key(0, (int,), 0, 2 ** 64 - 1),
+    "hom.state_a": Key("plus2", (str,), normalize=_state_label),
+    "hom.state_b": Key("minus2", (str,), normalize=_state_label),
+    # up to 1 km of path delay, more than any delay line or fibre spool; far
+    # larger spans overflow np.linspace and the (delay / l_c)^2 of the curve
+    "hom.delay_min_um": Key(-300.0, lo=-1e9, hi=1e9),
+    "hom.delay_max_um": Key(300.0, lo=-1e9, hi=1e9),
+    "hom.delay_steps": Key(61, (int,), 1, MAX_DELAY_STEPS),
+    # photons from 1 nm (soft X-ray) to 1 mm (far infrared), with filters from
+    # 1 fm (a laser line) to 1 mm wide, keep the coherence length
+    # l_c = wavelength^2 / bandwidth within 1e-15..1e9 m; at extreme floats
+    # it underflows to 0 or overflows
+    "hom.wavelength_nm": Key(795.0, lo=1.0, hi=1e6),
+    "hom.bandwidth_nm": Key(6.0, lo=1e-6, hi=1e6),
+    "clone.input": Key("h", (str,), normalize=_state_label),
+    "clone.ancilla_samples": Key(None, (int, type(None)), 1, MAX_ANCILLA_SAMPLES),
+    "qudit.d_min": Key(1, (int,), 1, math.inf),
+    "qudit.d_max": Key(8, (int,), 1, MAX_D),
+    "experiment.duration_s": Key(600.0, lo=0.0),
+    "experiment.f_prep": Key(0.96, lo=0.5, hi=1.0),
+    "experiment.enhancement": Key(1.97, lo=1.0, hi=2.0),
+    "experiment.source_rate_hz": Key(5000.0, lo=POSITIVE),
+    "experiment.qplate_efficiency": Key(0.8, lo=0.0, hi=1.0),
+    "experiment.transferrer_success": Key(0.5, lo=0.0, hi=1.0),
+    "experiment.coupling_min": Key(0.15, lo=0.0, hi=1.0),
+    "experiment.coupling_max": Key(0.25, lo=0.0, hi=1.0),
+    "experiment.coupling": Key(1.0 / 6.0, lo=0.0, hi=1.0),
+    "stokes.states": Key(list(STATE_NAMES), (list,), normalize=_state_list),
+    "stokes.counts_per_basis": Key(400, (int,), 1, MAX_COUNTS_PER_BASIS),
+    "stokes.runs": Key(25, (int,), 1, MAX_STOKES_RUNS),
+}
+
+
+def _nested(flat: dict) -> dict:
+    """``{"seed": s, "hom.state_a": a}`` as ``{"seed": s, "hom": {"state_a": a}}``."""
+    config = {}
+    for name, value in flat.items():
+        section, _, sub = name.partition(".")
+        if sub:
+            config.setdefault(section, {})[sub] = value
+        else:
+            config[section] = value
+    return config
+
+
+DEFAULTS = _nested({name: key.default for name, key in KEYS.items()})
+
+
 def validate_config(user: dict) -> dict:
     """Merge a user config over the defaults, rejecting unknown keys."""
     if user is None:
         user = {}
     if not isinstance(user, dict):
         raise ConfigValidationError("top-level config must be a mapping")
-    config = {k: (dict(v) if isinstance(v, dict) else v) for k, v in DEFAULTS.items()}
-    for key, value in user.items():
-        if key not in DEFAULTS:
-            raise ConfigValidationError(f"unknown config key {key!r}")
-        if isinstance(DEFAULTS[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigValidationError(f"{key}: expected a mapping")
-            for sub, sub_value in value.items():
-                flat = f"{key}.{sub}"
-                if flat not in _SCHEMA:
-                    raise ConfigValidationError(f"unknown config key {flat!r}")
-                config[key][sub] = sub_value
+    values = {name: key.default for name, key in KEYS.items()}
+    for section, value in user.items():
+        if section not in DEFAULTS:
+            raise ConfigValidationError(f"unknown config key {section!r}")
+        if not isinstance(DEFAULTS[section], dict):
+            values[section] = value
+        elif not isinstance(value, dict):
+            raise ConfigValidationError(f"{section}: expected a mapping")
         else:
-            config[key] = value
-    for flat, (types, constraint) in _SCHEMA.items():
-        section, _, sub = flat.partition(".")
-        value = config[section][sub] if sub else config[section]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ConfigValidationError(f"{flat}: bad type {type(value).__name__}")
-        if constraint is not None and not constraint(value):
-            raise ConfigValidationError(f"{flat}: value {value!r} out of range")
-    config["hom"]["state_a"] = _state_label(config["hom"]["state_a"], "hom.state_a")
-    config["hom"]["state_b"] = _state_label(config["hom"]["state_b"], "hom.state_b")
-    config["clone"]["input"] = _state_label(config["clone"]["input"], "clone.input")
-    config["stokes"]["states"] = [
-        _state_label(s, "stokes.states") for s in config["stokes"]["states"]]
+            for sub, sub_value in value.items():
+                flat = f"{section}.{sub}"
+                if flat not in KEYS:
+                    raise ConfigValidationError(f"unknown config key {flat!r}")
+                values[flat] = sub_value
+    for name, key in KEYS.items():
+        value = values[name]
+        if isinstance(value, bool) or not isinstance(value, key.types):
+            raise ConfigValidationError(f"{name}: bad type {type(value).__name__}")
+        if key.normalize is not None:
+            values[name] = key.normalize(value, name)
+        elif value is not None and not key.lo <= value <= key.hi:
+            raise ConfigValidationError(f"{name}: value {value!r} out of range")
+    config = _nested(values)
     if config["qudit"]["d_max"] < config["qudit"]["d_min"]:
         raise ConfigValidationError("qudit.d_max < qudit.d_min")
     exp = config["experiment"]
@@ -181,81 +174,60 @@ def validate_config(user: dict) -> dict:
     return config
 
 
-def _num(x) -> str:
-    return f"{float(x):.12g}"
-
-
 def _write_csv(path: Path, header, rows):
     """Write a CSV file; a ``None`` cell is written empty."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join("" if c is None else c if isinstance(c, str) else _num(c)
-                              for c in row))
+        lines.append(",".join("" if c is None else c if isinstance(c, str)
+                              else f"{float(c):.12g}" for c in row))
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_json(path: Path, scenario, config, results):
-    doc = {
-        "scenario": scenario,
-        "version": __version__,
-        "seed": config["seed"],
-        "config": config,
-        "results": results,
-    }
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+def _plot(kind, *args):
+    """The SVG thunk of a runner: ``svgplot.<kind>(*args)``, imported only
+    when the figure is written."""
+    def svg():
+        from . import svgplot
+        return getattr(svgplot, kind)(*args)
+    return svg
 
 
-def _hom_states(cfg):
-    from . import cloning
-    basis = cloning.cloner_basis()
-    qa = QubitSpec.named(cfg["state_a"])
-    qb = QubitSpec.named(cfg["state_b"])
-    return (cloning.embed_qubit(qa, basis, "a"), cloning.embed_qubit(qb, basis, "b"))
-
-
-def run_hom(config, out_dir, want_svg):
-    from . import interference
+def run_hom(config):
+    from . import cloning, interference
     cfg = config["hom"]
-    psi_a, psi_b = _hom_states(cfg)
+    basis = cloning.cloner_basis()
+    psi_a = cloning.embed_qubit(QubitSpec.named(cfg["state_a"]), basis, "a")
+    psi_b = cloning.embed_qubit(QubitSpec.named(cfg["state_b"]), basis, "b")
     profile = interference.SpectralProfile(cfg["wavelength_nm"] * 1e-9,
                                            cfg["bandwidth_nm"] * 1e-9)
     delays_um = np.linspace(cfg["delay_min_um"], cfg["delay_max_um"], cfg["delay_steps"])
     scan = interference.hom_curve(psi_a, psi_b, delays_um * 1e-6, profile)
-    rows = [(d, c, e) for d, c, e in zip(delays_um, scan.coincidences, scan.enhancements)]
-    _write_csv(out_dir / "hom.csv",
-               ["delay_um", "expected_coincidences", "enhancement"], rows)
     results = {
         "enhancement_ratio": scan.ratio,
         "coherence_length_um": interference.coherence_length(profile) * 1e6,
         "peak_coincidence": float(scan.coincidences.max()),
     }
-    _write_json(out_dir / "hom.json", "hom", config, results)
-    if want_svg:
-        from . import svgplot
-        (out_dir / "hom.svg").write_text(svgplot.line_plot(
-            delays_um, scan.coincidences,
-            f"HOM coincidences ({cfg['state_a']}, {cfg['state_b']})",
-            "delay (um)", "relative coincidences"))
+    return (["delay_um", "expected_coincidences", "enhancement"],
+            list(zip(delays_um, scan.coincidences, scan.enhancements)), results,
+            _plot("line_plot", delays_um, scan.coincidences,
+                  f"HOM coincidences ({cfg['state_a']}, {cfg['state_b']})",
+                  "delay (um)", "relative coincidences"))
 
 
-def run_clone(config, out_dir, want_svg):
+def run_clone(config):
     from . import cloning
     cfg = config["clone"]
     q = QubitSpec.named(cfg["input"])
     result = cloning.run_cloner_full(q, cfg["ancilla_samples"], seed=config["seed"])
-    record = result.to_record(q)
-    _write_csv(out_dir / "clone.csv",
-               ["input_state", "fidelity", "success_prob", "s1", "s2", "s3"],
-               [(cfg["input"], result.fidelity, result.success_probability,
-                 *result.stokes)])
-    _write_json(out_dir / "clone.json", "clone", config, record)
-    if want_svg:
-        from . import svgplot
-        (out_dir / "clone.svg").write_text(svgplot.bloch_projection(
-            [(cfg["input"], q.bloch(), result.stokes)], "Cloned qubit Bloch vector"))
+    return (["input_state", "fidelity", "success_prob", "s1", "s2", "s3"],
+            [(cfg["input"], result.fidelity, result.success_probability,
+              *result.stokes)],
+            result.to_record(q),
+            _plot("bloch_projection", [(cfg["input"], q.bloch(), result.stokes)],
+                  "Cloned qubit Bloch vector"))
 
 
-def run_qudit(config, out_dir, want_svg):
+def run_qudit(config):
     from . import qudit
     cfg = config["qudit"]
     rng = np.random.default_rng(config["seed"])
@@ -266,40 +238,28 @@ def run_qudit(config, out_dir, want_svg):
         res = qudit.qudit_clone(spec)
         f_formula, p_formula = qudit.qudit_formula(d)
         rows.append((d, res.fidelity, f_formula, res.success_probability, p_formula))
-    _write_csv(out_dir / "qudit.csv",
-               ["d", "F_channel", "F_formula", "p_channel", "p_formula"], rows)
     results = {"rows": [[int(r[0])] + [float(x) for x in r[1:]] for r in rows]}
-    _write_json(out_dir / "qudit.json", "qudit", config, results)
-    if want_svg:
-        from . import svgplot
-        (out_dir / "qudit.svg").write_text(svgplot.line_plot(
-            [r[0] for r in rows], [r[1] for r in rows],
-            "Cloning fidelity vs dimension", "d", "fidelity"))
+    return (["d", "F_channel", "F_formula", "p_channel", "p_formula"], rows, results,
+            _plot("line_plot", [r[0] for r in rows], [r[1] for r in rows],
+                  "Cloning fidelity vs dimension", "d", "fidelity"))
 
 
-def _budget_from_config(cfg):
+def run_experiment(config):
     from . import experiment
-    return experiment.LossBudget(
+    cfg = config["experiment"]
+    model = experiment.ImperfectionModel(float(cfg["f_prep"]), float(cfg["enhancement"]))
+    budget = experiment.LossBudget(
         source_rate_hz=float(cfg["source_rate_hz"]),
         qplate_efficiency=float(cfg["qplate_efficiency"]),
         transferrer_success=float(cfg["transferrer_success"]),
         fiber_coupling=(float(cfg["coupling_min"]), float(cfg["coupling_max"])),
         default_coupling=float(cfg["coupling"]),
     )
-
-
-def run_experiment(config, out_dir, want_svg):
-    from . import experiment
-    cfg = config["experiment"]
-    model = experiment.ImperfectionModel(float(cfg["f_prep"]), float(cfg["enhancement"]))
-    budget = _budget_from_config(cfg)
     report = experiment.table_one_run(model, budget, float(cfg["duration_s"]),
                                       config["seed"])
     # a state without counts has no fidelity estimate: empty cells, not nan
     rows = [(label, c1, c2, *((f, s) if c1 + c2 else (None, None)))
             for label, c1, c2, f, s in report.rows]
-    _write_csv(out_dir / "experiment.csv",
-               ["state_label", "C1", "C2", "F_exp", "sigma"], rows)
     lo, hi = experiment.rate_budget(budget)
     results = {
         "predicted_fidelity": report.predicted,
@@ -309,15 +269,12 @@ def run_experiment(config, out_dir, want_svg):
     }
     if report.mean_fidelity is None:
         results["reason"] = "no state got coincidence counts; raise experiment.duration_s"
-    _write_json(out_dir / "experiment.json", "experiment", config, results)
-    if want_svg:
-        from . import svgplot
-        (out_dir / "experiment.svg").write_text(svgplot.line_plot(
-            range(len(report.rows)), [r[3] for r in report.rows],
-            "Simulated per-state fidelity", "state index", "F_exp"))
+    return (["state_label", "C1", "C2", "F_exp", "sigma"], rows, results,
+            _plot("line_plot", range(len(report.rows)), [r[3] for r in report.rows],
+                  "Simulated per-state fidelity", "state index", "F_exp"))
 
 
-def run_stokes(config, out_dir, want_svg):
+def run_stokes(config):
     from . import cloning, experiment
     cfg = config["stokes"]
     seeds = np.random.SeedSequence(config["seed"]).spawn(
@@ -338,20 +295,17 @@ def run_stokes(config, out_dir, want_svg):
             lengths.append(res.length)
             mean_est += res.estimated
         arrows.append((label, q.bloch(), mean_est / cfg["runs"]))
-    _write_csv(out_dir / "stokes.csv",
-               ["state", "run", "s1_in", "s2_in", "s3_in",
-                "s1_out", "s2_out", "s3_out", "length"], rows)
     results = {
         "mean_length": float(np.mean(lengths)),
         "theory_length": 2.0 / 3.0,
     }
-    _write_json(out_dir / "stokes.json", "stokes", config, results)
-    if want_svg:
-        from . import svgplot
-        (out_dir / "stokes.svg").write_text(svgplot.bloch_projection(
-            arrows, "Shrunk Bloch sphere of the cloned states"))
+    return (["state", "run", "s1_in", "s2_in", "s3_in",
+             "s1_out", "s2_out", "s3_out", "length"], rows, results,
+            _plot("bloch_projection", arrows, "Shrunk Bloch sphere of the cloned states"))
 
 
+# Each runner returns (CSV header, CSV rows, JSON results, SVG thunk), and
+# main writes the files that --format and --svg ask for.
 RUNNERS = {
     "hom": run_hom,
     "clone": run_clone,
@@ -416,9 +370,20 @@ def main(argv=None) -> int:
         print(json.dumps(config, sort_keys=True, indent=2, allow_nan=False))
         return 0
     try:
+        header, rows, results, svg = RUNNERS[args.scenario](config)
+        # serialized on every run, so that a non-finite result fails the run
+        # under --format csv too, and before any file is written
+        doc = json.dumps({"scenario": args.scenario, "version": __version__,
+                          "seed": config["seed"], "config": config, "results": results},
+                         sort_keys=True, indent=2, allow_nan=False)
         args.out_dir.mkdir(parents=True, exist_ok=True)
-        RUNNERS[args.scenario](config, args.out_dir, args.svg)
-        _apply_format_filter(args)
+        stem = args.out_dir / args.scenario
+        if args.format != "json":
+            _write_csv(stem.with_suffix(".csv"), header, rows)
+        if args.format != "csv":
+            stem.with_suffix(".json").write_text(doc + "\n")
+        if args.svg:
+            stem.with_suffix(".svg").write_text(svg())
     except FockError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -426,15 +391,6 @@ def main(argv=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return 0
-
-
-def _apply_format_filter(args):
-    if args.format == "both":
-        return
-    drop = ".json" if args.format == "csv" else ".csv"
-    target = args.out_dir / f"{args.scenario}{drop}"
-    if target.exists():
-        target.unlink()
 
 
 if __name__ == "__main__":

@@ -184,8 +184,9 @@ def simulate_stokes(input_qubit: QubitSpec, counts_per_basis: int, seed, *,
     For each of the three Pauli axes the two projective outcomes receive
     independent Poisson counts around their ideal-clone probabilities and
     the component is estimated as the normalized count difference.
-    ``ideal`` is the ideal clone's Stokes vector; left out, it is computed
-    with ``cloning.run_cloner_full(input_qubit)``.
+    ``ideal`` is the ideal clone's Stokes vector: three finite components
+    with norm at most 1 (+1e-12 for rounding); left out, it is computed with
+    ``cloning.run_cloner_full(input_qubit)``.
     """
     if (isinstance(counts_per_basis, (bool, np.bool_))
             or not 1 <= counts_per_basis <= POISSON_MEAN_MAX
@@ -195,9 +196,13 @@ def simulate_stokes(input_qubit: QubitSpec, counts_per_basis: int, seed, *,
     if ideal is None:
         from . import cloning
         ideal = cloning.run_cloner_full(input_qubit).stokes
+    ideal = np.asarray(ideal, dtype=float)
+    if ideal.shape != (3,) or not np.all(np.isfinite(ideal)) \
+            or np.linalg.norm(ideal) > 1.0 + 1e-12:
+        raise ConfigurationError("ideal must be 3 finite Stokes components of norm at most 1")
     est = np.zeros(3)
     for i, s in enumerate(ideal):
-        p_plus = (1.0 + s) / 2.0
+        p_plus = min(max((1.0 + s) / 2.0, 0.0), 1.0)  # |s| may pass 1 by the rounding
         c_plus = rng.poisson(counts_per_basis * p_plus)
         c_minus = rng.poisson(counts_per_basis * (1.0 - p_plus))
         total = c_plus + c_minus

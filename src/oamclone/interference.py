@@ -38,6 +38,12 @@ class SpectralProfile:
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(
                     "wavelength and bandwidth must be finite and positive")
+        try:
+            lc = coherence_length(self)
+        except OverflowError:  # wavelength^2 beyond the float range
+            lc = math.inf
+        if not 0 < lc < math.inf:  # or it underflowed to 0
+            raise ConfigurationError(f"coherence length {lc!r} m is not finite and positive")
         if self.shape != "gaussian":
             raise ConfigurationError(f"unsupported spectral shape {self.shape!r}")
 

@@ -4,10 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 import oamclone
@@ -39,8 +41,7 @@ def strict_json(text):
     return json.loads(text, parse_constant=_reject_constant)
 
 
-FLOAT_KEYS = [key for key, (types, _) in cli._SCHEMA.items()
-              if isinstance(types, tuple) and float in types]
+FLOAT_KEYS = [name for name, key in cli.KEYS.items() if float in key.types]
 
 SIZE_BOUNDS = {
     "qudit.d_max": cli.MAX_D,
@@ -105,8 +106,8 @@ class TestConfigValidation:
             cfg = validate_config({section: {sub: value}})
         except ConfigValidationError:
             return
-        _, constraint = cli._SCHEMA[key]
-        assert math.isfinite(cfg[section][sub]) and constraint(cfg[section][sub])
+        row = cli.KEYS[key]
+        assert math.isfinite(cfg[section][sub]) and row.lo <= cfg[section][sub] <= row.hi
 
 
 @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -151,7 +152,7 @@ def test_emitted_pairs_above_their_bound_exit_3(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     for experiment_cfg in ({"duration_s": 1.0e300},
                            {"duration_s": 1.0e10, "source_rate_hz": 1.0e9}):
-        cfg.write_text(json.dumps({"experiment": experiment_cfg}))
+        cfg.write_text(yaml.safe_dump({"experiment": experiment_cfg}))
         assert main(["validate", "--config", str(cfg)]) == 3
 
 
@@ -166,6 +167,129 @@ def test_emitted_pairs_at_their_bound_run_at_the_highest_rate(tmp_path):
     out = tmp_path / "out"
     assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 0
     assert strict_json((out / "experiment.json").read_text())["results"]["mean_fidelity"]
+
+
+@pytest.mark.parametrize("hom_yaml", [
+    # the coherence length wavelength^2 / bandwidth underflows to 0
+    "wavelength_nm: 1.0e-200\n  bandwidth_nm: 1.0e+200",
+    # wavelength^2 overflows
+    "wavelength_nm: 1.0e+300",
+    # np.linspace overflows
+    "delay_min_um: -1.7e+308\n  delay_max_um: 1.7e+308",
+    # (delay / l_c)^2 overflows
+    "delay_min_um: -1.0e+300\n  delay_max_um: 1.0e+300",
+], ids=["coherence_length_underflow", "wavelength_overflow", "linspace_overflow",
+        "delay_overflow"])
+def test_hom_config_outside_the_table_exits_3_and_writes_nothing(hom_yaml, tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"hom:\n  {hom_yaml}\n")
+    out = tmp_path / "out"
+    assert main(["hom", "--config", str(cfg), "--out-dir", str(out)]) == 3
+    assert not out.exists()
+
+
+# The property tests draw sizes below these caps, so that each run takes
+# milliseconds; the bound + 1 tests above cover each bound itself.
+DRAWN_SIZE_CAPS = {"hom.delay_steps": 200, "clone.ancilla_samples": 20,
+                   "qudit.d_min": 6, "qudit.d_max": 6, "stokes.runs": 4}
+LABELS = st.sampled_from([*cli.STATE_NAMES, *cli.STATE_ALIASES])
+
+
+def accepted_values(name, key):
+    """Every value the table row ``key`` accepts, with sizes capped."""
+    if key.normalize is cli._state_label:
+        return LABELS
+    if key.normalize is cli._state_list:
+        return st.lists(LABELS, min_size=1, max_size=8)
+    hi = min(key.hi, DRAWN_SIZE_CAPS.get(name, key.hi))
+    if float in key.types:
+        return st.floats(key.lo, hi) | st.integers(math.ceil(key.lo), math.floor(hi))
+    values = st.integers(key.lo, hi)
+    return st.none() | values if type(None) in key.types else values
+
+
+def rejected_values(key):
+    """Values that the table row ``key`` rejects: wrong types, and values
+    outside its range or that its normalizer refuses."""
+    if key.normalize is cli._state_label:
+        return st.text("abcdhv+-2 ", max_size=4).filter(
+            lambda s: s not in cli.STATE_NAMES and s not in cli.STATE_ALIASES) \
+            | st.sampled_from([2, None, True, ["h"]])
+    if key.normalize is cli._state_list:
+        return st.sampled_from([[], ["h"] * (cli.MAX_STOKES_STATES + 1), ["h", "x"],
+                                ["h", 2], "h", None])
+    wrong_types = st.sampled_from([True, False, "1.0", [1.0], {"a": 1.0}])
+    if float not in key.types:
+        wrong_types |= st.floats(-10.0, 10.0)
+    if type(None) not in key.types:
+        wrong_types |= st.none()
+    below = math.nextafter(key.lo, -math.inf)
+    above = math.nextafter(key.hi, math.inf)
+    if float in key.types:
+        return (wrong_types | st.sampled_from([math.nan, math.inf, -math.inf])
+                | st.floats(max_value=below) | st.floats(min_value=above))
+    out_of_range = st.integers(max_value=math.floor(below))
+    if above < math.inf:
+        out_of_range |= st.integers(min_value=math.ceil(above))
+    return wrong_types | out_of_range
+
+
+def cross_key_rules_kept(config):
+    """Bring the drawn keys that a cross-key rule ties together into line."""
+    qd, exp = config["qudit"], config["experiment"]
+    qd["d_min"], qd["d_max"] = sorted((qd["d_min"], qd["d_max"]))
+    exp["coupling_min"], exp["coupling"], exp["coupling_max"] = sorted(
+        (exp["coupling_min"], exp["coupling"], exp["coupling_max"]))
+    # half the bound leaves room for the rounding of the product
+    exp["duration_s"] = min(exp["duration_s"],
+                            cli.MAX_SOURCE_PAIRS / exp["source_rate_hz"] / 2)
+    return config
+
+
+ACCEPTED_CONFIGS = st.fixed_dictionaries(
+    {name: accepted_values(name, key) for name, key in cli.KEYS.items()}
+).map(cli._nested).map(cross_key_rules_kept)
+
+
+def run_with_config(scenario, config, tmp, *extra):
+    cfg = tmp / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(config))
+    return main([scenario, "--config", str(cfg), *extra])
+
+
+@pytest.mark.parametrize("scenario", sorted(cli.RUNNERS))
+@settings(max_examples=25, deadline=None)
+@given(config=ACCEPTED_CONFIGS)
+def test_every_accepted_config_runs_to_finite_deterministic_outputs(scenario, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        outputs = []
+        for out in ("o1", "o2"):
+            assert run_with_config(scenario, config, tmp, "--svg",
+                                   "--out-dir", str(tmp / out)) == 0
+            outputs.append({p.name: p.read_bytes() for p in (tmp / out).iterdir()})
+    assert outputs[0] == outputs[1]
+    strict_json(outputs[0][f"{scenario}.json"].decode())
+    for line in outputs[0][f"{scenario}.csv"].decode().splitlines()[1:]:
+        for cell in line.split(","):
+            assert cell == "" or cell in cli.STATE_NAMES or math.isfinite(float(cell))
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=ACCEPTED_CONFIGS, data=st.data())
+def test_every_rejected_key_exits_3_and_writes_nothing(config, data):
+    name = data.draw(st.sampled_from(sorted(cli.KEYS)))
+    value = data.draw(rejected_values(cli.KEYS[name]))
+    section, _, sub = name.partition(".")
+    if sub:
+        config[section][sub] = value
+    else:
+        config[section] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert run_with_config(section if sub else "clone", config, Path(tmp),
+                               "--out-dir", str(out)) == 3
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("scenario, used, absent", [

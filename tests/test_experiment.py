@@ -203,3 +203,13 @@ class TestSimulateStokes:
     def test_count_request_must_be_a_finite_integer(self, counts):
         with pytest.raises(ConfigurationError, match="finite integer"):
             simulate_stokes(QubitSpec.named("h"), counts, 0)
+
+    @pytest.mark.parametrize("ideal", [[math.nan, 0.0, 0.0], [1.5, 0.0, 0.0], [0.5, 0.0]],
+                             ids=["nan", "norm_above_1", "two_components"])
+    def test_ideal_must_be_three_finite_components_in_the_ball(self, ideal):
+        with pytest.raises(ConfigurationError, match="ideal"):
+            simulate_stokes(QubitSpec.named("h"), 100, 0, ideal=ideal)
+
+    def test_ideal_on_the_sphere_up_to_rounding_is_accepted(self):
+        run = simulate_stokes(QubitSpec.named("h"), 100, 0, ideal=[0.0, -1.0 - 1e-13, 0.0])
+        assert run.estimated[1] == -1.0

@@ -68,7 +68,9 @@ class TestTemporalOverlap:
             temporal_overlap(float("nan"), SpectralProfile())
 
     @pytest.mark.parametrize("wavelength, bandwidth", [
-        (math.nan, 6e-9), (math.inf, 6e-9), (795e-9, math.nan), (795e-9, math.inf)])
+        (math.nan, 6e-9), (math.inf, 6e-9), (795e-9, math.nan), (795e-9, math.inf),
+        # the coherence length wavelength^2 / bandwidth underflows to 0 or overflows
+        (1e-300, 1e300), (1e300, 6e-9)])
     def test_non_finite_profile_rejected(self, wavelength, bandwidth):
         from oamclone.fock import ConfigurationError
         with pytest.raises(ConfigurationError):
