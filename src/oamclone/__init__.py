@@ -27,8 +27,8 @@ class InvalidStateError(FockError):
 # re-exported name -> the module that defines it
 _EXPORTS = {
     **dict.fromkeys(("DensityOperator", "ModeBasis", "ModeIndex", "PhotonState",
-                     "TwoPhotonState", "build_basis", "mix", "partial_trace_to_single",
-                     "pure_density", "superposition_state", "symmetrize_product"), "fock"),
+                     "TwoPhotonState", "build_basis", "mix", "pure_density",
+                     "superposition_state", "symmetrize_product"), "fock"),
     **dict.fromkeys(("CloneResult", "run_cloner_full", "run_cloner_projector"), "cloning"),
     "QubitSpec": "qubit",
     **dict.fromkeys(("QuditSpec", "qudit_clone", "qudit_formula"), "qudit"),

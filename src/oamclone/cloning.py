@@ -65,7 +65,8 @@ def cloner_basis():
 
 @functools.lru_cache(maxsize=1)
 def _cloner_bs():
-    return elements.beam_splitter(cloner_basis())
+    # checked once here: the port probability 2 ||S_port||^2 assumes a unitary M
+    return elements.beam_splitter(cloner_basis()).validate()
 
 
 def embed_qubit(qubit: QubitSpec, basis, path: str) -> PhotonState:

@@ -55,8 +55,7 @@ def apply(op: ElementOperator, state):
     if isinstance(state, PhotonState):
         return PhotonState(op.basis, op.matrix @ state.amplitudes)
     if isinstance(state, TwoPhotonState):
-        s2 = op.matrix @ state.to_sym_matrix() @ op.matrix.T
-        return TwoPhotonState.from_sym_matrix(op.basis, s2)
+        return TwoPhotonState(op.basis, op.matrix @ state.amplitudes @ op.matrix.T)
     raise TypeError(f"unsupported state type {type(state)}")
 
 

@@ -2,18 +2,17 @@
 
 A single-photon mode is labelled by a spatial path, a circular polarization
 and an integer orbital-angular-momentum (OAM) value drawn from a finite
-truncation set.  Two-photon states are stored as sparse maps over unordered
-mode pairs with occupation-number normalization, i.e. the key {i, i} holds
-the amplitude of the normalized double-occupancy ket |2_i>, so the squared
-magnitudes of all key amplitudes sum to one.
+truncation set.  A two-photon state is stored as one dense complex symmetric
+matrix S over the n modes, |psi> = sum_ij S_ij adag_i adag_j |0>, normalized
+so that 2 ||S||_F^2 = 1.  An optical element M acts as S -> M S M^T, a port
+post-selection keeps the rows and columns of its modes, and the reduced
+single-photon state is 2 S S^dag.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +54,7 @@ class ModeBasis:
                 raise ConfigurationError(f"duplicate mode {mode}")
             lookup[mode] = pos
         self.modes = modes
-        self.mode_paths = tuple(m.path for m in modes)
+        self.mode_paths = np.array([m.path for m in modes])
         self._lookup = lookup
         self.oam_set = frozenset(m.oam for m in modes)
         self.paths = frozenset(m.path for m in modes)
@@ -84,19 +83,6 @@ class ModeBasis:
 
     def __hash__(self):
         return hash(self.modes)
-
-    def pair_keys(self):
-        """Canonical enumeration of unordered index pairs (i <= j)."""
-        n = self.size
-        return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-@functools.lru_cache(maxsize=32)
-def _upper_triangle(n: int):
-    """Row and column of each pair key i <= j in row-major order, and the
-    S -> key amplitude scale: sqrt(2) on the diagonal, 2 off it."""
-    rows, cols = np.triu_indices(n)
-    return rows, cols, np.where(rows == cols, math.sqrt(2.0), 2.0)
 
 
 def build_basis(paths, oam_set=DEFAULT_OAM_SET, pols=POLS) -> ModeBasis:
@@ -138,11 +124,6 @@ class PhotonState:
     def amplitude(self, mode: ModeIndex) -> complex:
         return complex(self.amplitudes[self.basis.index(mode)])
 
-    def overlap(self, other: "PhotonState") -> complex:
-        if self.basis != other.basis:
-            raise BasisMismatchError("overlap requires a common basis")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def superposition_state(basis: ModeBasis, terms) -> PhotonState:
     """Build a normalized single-photon state from (ModeIndex, amplitude) terms."""
@@ -157,98 +138,66 @@ def superposition_state(basis: ModeBasis, terms) -> PhotonState:
 
 @dataclass
 class TwoPhotonState:
-    """Bosonic two-photon state as a sparse map over unordered index pairs."""
+    """Bosonic two-photon state sum_ij S_ij adag_i adag_j |0> over a ModeBasis.
+
+    ``amplitudes`` holds the complex symmetric n x n matrix S; a normalized
+    state has 2 ||S||_F^2 = 1.
+    """
 
     basis: ModeBasis
-    amplitudes: dict = field(default_factory=dict)
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        n = self.basis.size
+        if self.amplitudes.shape != (n, n):
+            raise BasisMismatchError("coefficient matrix does not match basis size")
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.sqrt(2.0) * float(np.linalg.norm(self.amplitudes))
 
     def amplitude(self, mode_i: ModeIndex, mode_j: ModeIndex) -> complex:
+        """Amplitude of the Fock ket |1_i 1_j> (2 S_ij), or of |2_i> (sqrt(2) S_ii)."""
         i, j = self.basis.index(mode_i), self.basis.index(mode_j)
-        return complex(self.amplitudes.get((min(i, j), max(i, j)), 0.0))
+        s = complex(self.amplitudes[i, j])
+        return math.sqrt(2.0) * s if i == j else 2.0 * s
 
     def inner(self, other: "TwoPhotonState") -> complex:
         if self.basis != other.basis:
             raise BasisMismatchError("inner product requires a common basis")
-        keys = self.amplitudes.keys() & other.amplitudes.keys()
-        return complex(sum(self.amplitudes[k].conjugate() * other.amplitudes[k] for k in keys))
-
-    def to_sym_matrix(self) -> np.ndarray:
-        """Symmetric coefficient matrix S with state = sum_ij S_ij adag_i adag_j |0>.
-
-        For a normalized state, 2 * ||S||_F^2 = 1.
-        """
-        n = self.basis.size
-        s = np.zeros((n, n), dtype=complex)
-        for (i, j), amp in self.amplitudes.items():
-            s[i, j] = s[j, i] = amp / math.sqrt(2.0) if i == j else amp / 2.0
-        return s
-
-    @classmethod
-    def from_sym_matrix(cls, basis: ModeBasis, s: np.ndarray,
-                        prune: float = 1e-15) -> "TwoPhotonState":
-        rows, cols, scale = _upper_triangle(basis.size)
-        amps = np.multiply(scale, s[rows, cols], dtype=complex)
-        (kept,) = np.nonzero(np.hypot(amps.real, amps.imag) > prune)
-        keys = zip(rows[kept].tolist(), cols[kept].tolist())
-        return cls(basis, dict(zip(keys, amps[kept].tolist())))
-
-    def to_vector(self, pair_keys=None) -> np.ndarray:
-        keys = pair_keys if pair_keys is not None else self.basis.pair_keys()
-        vec = np.zeros(len(keys), dtype=complex)
-        for pos, key in enumerate(keys):
-            if key in self.amplitudes:
-                vec[pos] = self.amplitudes[key]
-        return vec
+        return 2.0 * complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 def symmetrize_product(psi_a: PhotonState, psi_b: PhotonState) -> TwoPhotonState:
     """Bosonic symmetrization of a two-photon product, normalized.
 
-    Identical inputs concentrate weight on double-occupancy keys with the
-    sqrt(2) bosonic enhancement folded into the key amplitude.
+    S = (u v^T + v u^T)/2, scaled to 2 ||S||^2 = 1.  Identical inputs give
+    S = u u^T, whose diagonal carries the sqrt(2) bosonic enhancement of
+    the double-occupancy kets.
     """
     if psi_a.basis != psi_b.basis:
         raise BasisMismatchError("photons must share a basis")
-    u = psi_a.amplitudes
-    v = psi_b.amplitudes
-    (nz_u,) = np.nonzero(np.abs(u) > 1e-15)
-    (nz_v,) = np.nonzero(np.abs(v) > 1e-15)
-    terms = {}
-    v_terms = list(zip(nz_v.tolist(), v[nz_v].tolist()))
-    for i, ui in zip(nz_u.tolist(), u[nz_u].tolist()):
-        for j, vj in v_terms:
-            key = (i, j) if i < j else (j, i)
-            term = complex(math.sqrt(2.0)) * ui * vj if i == j else ui * vj
-            terms[key] = terms.get(key, 0j) + term
-    amps = np.fromiter(terms.values(), complex, len(terms))
-    # sum abs(a) ** 2 in key order, with the rounding of the scalar expression
-    squares = np.float_power(np.hypot(amps.real, amps.imag), 2)
-    norm = math.sqrt(np.cumsum(squares)[-1]) if terms else 0.0
+    s = np.outer(psi_a.amplitudes, psi_b.amplitudes)
+    s = s + s.T
+    norm = np.linalg.norm(s) / math.sqrt(2.0)  # of the Fock-ket amplitudes
     if norm < 1e-15:
         raise InvalidStateError("symmetrized product has zero norm")
-    amps = amps / norm
-    keep = (np.hypot(amps.real, amps.imag) > 1e-15).tolist()
-    return TwoPhotonState(psi_a.basis, dict(zip(itertools.compress(terms, keep),
-                                                itertools.compress(amps, keep))))
+    return TwoPhotonState(psi_a.basis, s / (2.0 * norm))
 
 
 def project_keys(state: TwoPhotonState, path: str) -> tuple:
     """Post-select the runs where both photons exit on ``path``.
 
-    Returns (normalized projected state, success probability relative to the
-    input).
+    Keeps the rows and columns of S that belong to ``path``.  Returns
+    (normalized projected state, success probability p = 2 ||S_path||^2
+    relative to the input).
     """
-    paths = state.basis.mode_paths
-    kept = {(i, j): a for (i, j), a in state.amplitudes.items()
-            if paths[i] == path and paths[j] == path}
-    prob = sum(abs(a) ** 2 for a in kept.values())
+    on_path = state.basis.mode_paths == path
+    s = np.where(np.outer(on_path, on_path), state.amplitudes, 0.0)
+    prob = 2.0 * float(np.vdot(s, s).real)
     if prob < 1e-30:
-        return TwoPhotonState(state.basis, {}), 0.0
-    scale = 1.0 / math.sqrt(prob)
-    return TwoPhotonState(state.basis, {k: a * scale for k, a in kept.items()}), prob
+        return TwoPhotonState(state.basis, np.zeros_like(s)), 0.0
+    return TwoPhotonState(state.basis, s / math.sqrt(prob)), prob
 
 
 @dataclass
@@ -279,24 +228,16 @@ class DensityOperator:
         return self
 
 
-def pure_density(state) -> DensityOperator:
-    """Rank-1 projector onto a pure one- or two-photon state."""
-    if isinstance(state, PhotonState):
-        v = state.amplitudes
-        n = np.linalg.norm(v)
-        if n < 1e-15:
-            raise InvalidStateError("cannot form density of a zero state")
-        v = v / n
-        return DensityOperator(state.basis, "single", np.outer(v, v.conj()))
-    if isinstance(state, TwoPhotonState):
-        keys = state.basis.pair_keys()
-        v = state.to_vector(keys)
-        n = np.linalg.norm(v)
-        if n < 1e-15:
-            raise InvalidStateError("cannot form density of a zero state")
-        v = v / n
-        return DensityOperator(state.basis, "pair", np.outer(v, v.conj()))
-    raise TypeError(f"unsupported state type {type(state)}")
+def pure_density(state: PhotonState) -> DensityOperator:
+    """Rank-1 projector onto a pure single-photon state."""
+    if not isinstance(state, PhotonState):
+        raise TypeError(f"unsupported state type {type(state)}")
+    v = state.amplitudes
+    n = np.linalg.norm(v)
+    if n < 1e-15:
+        raise InvalidStateError("cannot form density of a zero state")
+    v = v / n
+    return DensityOperator(state.basis, "single", np.outer(v, v.conj()))
 
 
 def mix(states) -> DensityOperator:
@@ -319,41 +260,14 @@ def mix(states) -> DensityOperator:
     return DensityOperator(first.basis, first.kind, acc)
 
 
-def _pair_key_coefficient_matrices(basis: ModeBasis, pair_keys):
-    """First-quantized coefficient matrix A^K for each pair-basis ket.
-
-    |1_i 1_j>  ->  (|i>|j> + |j>|i>)/sqrt(2),   |2_i>  ->  |i>|i>.
-    """
-    n = basis.size
-    stack = np.zeros((len(pair_keys), n, n), dtype=complex)
-    inv = 1.0 / math.sqrt(2.0)
-    for pos, (i, j) in enumerate(pair_keys):
-        if i == j:
-            stack[pos, i, i] = 1.0
-        else:
-            stack[pos, i, j] = inv
-            stack[pos, j, i] = inv
-    return stack
-
-
-def partial_trace_to_single(rho2: DensityOperator) -> DensityOperator:
-    """Trace out one photon of a bosonic pair density operator."""
-    if rho2.kind != "pair":
-        raise BasisMismatchError("partial trace expects a two-photon density")
-    keys = rho2.basis.pair_keys()
-    a = _pair_key_coefficient_matrices(rho2.basis, keys)
-    # rho1 = sum_KL M_KL A^K (A^L)^dagger
-    t = np.einsum("KL,Lqr->Kqr", rho2.matrix, a.conj())
-    rho1 = np.einsum("Kpr,Kqr->pq", a, t)
-    return DensityOperator(rho2.basis, "single", rho1)
-
-
 def reduced_single_pure(state: TwoPhotonState) -> DensityOperator:
-    """Reduced single-photon density of a pure two-photon state (rho1 = A A^dag)."""
-    s = state.to_sym_matrix()
-    a = math.sqrt(2.0) * s
-    nrm = np.linalg.norm(a)
-    if nrm < 1e-15:
+    """Reduced single-photon density of a pure two-photon state, rho1 = 2 S S^dag.
+
+    Computed as S S^dag over its trace, which equals 2 S S^dag when 2 ||S||^2 = 1.
+    """
+    s = state.amplitudes
+    rho = s @ s.conj().T
+    tr = float(np.trace(rho).real)
+    if tr < 1e-30:
         raise InvalidStateError("zero two-photon state")
-    a = a / nrm
-    return DensityOperator(state.basis, "single", a @ a.conj().T)
+    return DensityOperator(state.basis, "single", rho / tr)

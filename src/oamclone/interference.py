@@ -52,12 +52,18 @@ def coherence_length(profile: SpectralProfile) -> float:
     return profile.center_wavelength ** 2 / profile.bandwidth_fwhm
 
 
-def temporal_overlap(delay: float, profile: SpectralProfile) -> float:
-    """Two-photon amplitude overlap v(delay) in [0, 1]; delay in meters."""
-    if not math.isfinite(delay):
+def temporal_overlap(delay, profile: SpectralProfile):
+    """Two-photon amplitude overlap v(delay) in [0, 1]; delay in meters.
+
+    ``delay`` is a float or an array of them; v is 0 where (delay / l_c)^2
+    exceeds the float range.
+    """
+    delay = np.asarray(delay, dtype=float)
+    if not np.all(np.isfinite(delay)):
         raise ConfigurationError("delay must be finite")
-    x = delay / coherence_length(profile)
-    return math.exp(-KAPPA * x * x)
+    with np.errstate(over="ignore"):
+        v = np.exp(-KAPPA * (delay / coherence_length(profile)) ** 2)
+    return v if v.ndim else float(v)
 
 
 def _single_path(state: PhotonState) -> str:
@@ -132,11 +138,9 @@ def hom_curve(psi_a: PhotonState, psi_b: PhotonState, delays,
     delays = np.asarray(list(delays), dtype=float)
     if delays.size == 0:
         raise ConfigurationError("empty delay scan")
-    if not np.all(np.isfinite(delays)):
-        raise ConfigurationError("delays must be finite")
+    v = temporal_overlap(delays, profile)
     if not (math.isfinite(baseline) and baseline > 0):
         raise ConfigurationError("baseline must be finite and positive")
     mu = internal_overlap(psi_a, psi_b)
-    v = np.exp(-KAPPA * (delays / coherence_length(profile)) ** 2)
     coincidences = baseline * (1.0 + v * v * mu)
     return DelayScan(delays, coincidences, coincidences / baseline, 1.0 + mu, profile)

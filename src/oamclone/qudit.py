@@ -95,9 +95,10 @@ def _default_labels(d: int, oam_flip: bool):
 
 @functools.lru_cache(maxsize=32)
 def _qudit_optics(labels: tuple, oam_flip: bool):
-    """Mode basis and beam splitter of one label set, built once per process."""
+    """Mode basis and beam splitter of one label set, built and checked for
+    unitarity once per process."""
     basis = build_basis(("a", "b", "a_prime", "b_prime"), labels, pols=(_POL,))
-    return basis, elements.beam_splitter(basis, oam_flip=oam_flip)
+    return basis, elements.beam_splitter(basis, oam_flip=oam_flip).validate()
 
 
 def qudit_clone(spec: QuditSpec, labels=None, oam_flip: bool = False) -> QuditCloneResult:

@@ -16,7 +16,7 @@ def _fmt(x):
 
 
 def _scale(values, lo_px, hi_px):
-    lo, hi = min(values), max(values)
+    lo, hi = min(values, default=0.0), max(values, default=0.0)
     if hi == lo:
         hi = lo + 1.0
     span = hi - lo

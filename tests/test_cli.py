@@ -486,10 +486,12 @@ class TestScenarios:
         out = tmp_path / "out"
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("experiment:\n  duration_s: 0\n")
-        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert main(["experiment", "--config", str(cfg), "--out-dir", str(out), "--svg"]) == 0
         res = strict_json((out / "experiment.json").read_text())["results"]
         assert res["mean_fidelity"] is None
         assert "duration_s" in res["reason"]
+        # no state has a fidelity estimate, so the figure plots none
+        assert "nan" not in (out / "experiment.svg").read_text().lower()
 
     @pytest.mark.parametrize("duration_s, empty", [(0, 2 * 6), (600.0, 0)])
     def test_experiment_csv_cells_are_finite_or_empty(self, duration_s, empty, tmp_path):

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oamclone import elements, fock
+from oamclone import cloning, elements, fock, qudit
 from oamclone.elements import apply, beam_splitter
 from oamclone.fock import ModeIndex, PhotonState, build_basis, superposition_state
+from oamclone.qubit import QubitSpec
+from pair_reference import pair_amplitudes
 
 
 def pol_basis():
@@ -71,6 +73,25 @@ class TestBeamSplitter:
             out = apply(bs, two)
             assert abs(out.norm() - 1.0) < 1e-10
 
+    def test_cached_splitters_are_checked_for_unitarity(self, monkeypatch):
+        build = elements.beam_splitter
+
+        def reflection_phase_one(basis, oam_flip=True):
+            m = build(basis, oam_flip).matrix
+            return elements.ElementOperator(basis, np.abs(m))  # i/sqrt(2) -> 1/sqrt(2)
+
+        monkeypatch.setattr(elements, "beam_splitter", reflection_phase_one)
+        cloning._cloner_bs.cache_clear()
+        qudit._qudit_optics.cache_clear()
+        try:
+            with pytest.raises(fock.ConfigurationError, match="not unitary"):
+                cloning.run_cloner_full(QubitSpec.named("h"))
+            with pytest.raises(fock.ConfigurationError, match="not unitary"):
+                qudit.qudit_clone(qudit.QuditSpec(np.ones(3)))
+        finally:
+            cloning._cloner_bs.cache_clear()
+            qudit._qudit_optics.cache_clear()
+
     def test_missing_paths_rejected(self):
         with pytest.raises(fock.ConfigurationError):
             beam_splitter(build_basis(("a", "b"), (-2, 2)))
@@ -97,9 +118,9 @@ class TestApply:
             lifted = apply(bs, fock.symmetrize_product(pa, pb))
             resym = fock.symmetrize_product(apply(bs, pa), apply(bs, pb))
             # global phase agrees since both use the same linear expansion
-            for k in set(lifted.amplitudes) | set(resym.amplitudes):
-                assert lifted.amplitudes.get(k, 0.0) == pytest.approx(
-                    resym.amplitudes.get(k, 0.0), abs=1e-10)
+            expected = pair_amplitudes(resym)
+            for k, amp in pair_amplitudes(lifted).items():
+                assert amp == pytest.approx(expected[k], abs=1e-10)
 
     def test_basis_mismatch_rejected(self):
         op = beam_splitter(build_basis(("a", "b", "a_prime", "b_prime"), (-2, 2)))

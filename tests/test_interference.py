@@ -184,6 +184,14 @@ class TestCoincidenceCurve:
             hom_curve(oam_state("a", 1, 0), oam_state("b", 0, 1), [0.0, bad],
                       SpectralProfile())
 
+    def test_huge_finite_delays_have_no_overlap(self):
+        # (delay / l_c)^2 overflows; pytest turns numpy's RuntimeWarning into an error
+        prof = SpectralProfile()
+        scan = hom_curve(oam_state("a", 1, 0), oam_state("b", 0, 1), [1e300, -1e300, 0.0], prof)
+        assert scan.coincidences[:2].tolist() == [1.0, 1.0]
+        assert scan.coincidences[2] == pytest.approx(2.0)
+        assert temporal_overlap(1e300, prof) == 0.0
+
     @pytest.mark.parametrize("baseline", [math.nan, math.inf, 0.0, -1.0])
     def test_baseline_must_be_finite_and_positive(self, baseline):
         from oamclone.fock import ConfigurationError

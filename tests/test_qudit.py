@@ -67,6 +67,18 @@ class TestChannelAgreement:
             assert f_oracle == pytest.approx(f_formula, abs=1e-10)
             assert p_oracle == pytest.approx(p_formula, abs=1e-10)
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 24])
+    def test_clone_density_matches_the_oracle(self, d):
+        # element by element, so that a wrong off-diagonal (a missing
+        # conjugate, a transpose) fails even where F and p agree
+        phi = random_qudit(d, np.random.default_rng(50 + d)).amplitudes
+        rho = qudit_clone(QuditSpec(phi)).clone_density
+        a_prime = [rho.basis.index(fock.ModeIndex("a_prime", "L", k)) for k in range(d)]
+        block = rho.matrix[np.ix_(a_prime, a_prime)]
+        expected, _ = symmetric_subspace_clone(np.outer(phi, phi.conj()), np.eye(d) / d)
+        assert np.max(np.abs(block - expected)) < 1e-12
+        assert np.trace(block).real == pytest.approx(1.0, abs=1e-12)
+
     def test_fidelity_is_input_independent(self):
         rng = np.random.default_rng(43)
         for d in (2, 3, 4):
