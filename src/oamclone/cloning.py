@@ -107,10 +107,7 @@ def _ancilla_states(n_samples, seed):
 def _assemble(branches, qubit: QubitSpec) -> CloneResult:
     """Combine per-ancilla post-selected branches into the clone state."""
     success = sum(w * p for _, w, p in branches)
-    acc = np.zeros((2, 2), dtype=complex)
-    for rho, w, p in branches:
-        acc += w * p * rho
-    clone = acc / success
+    clone = sum(w * p * rho for rho, w, p in branches) / success
     target = qubit.vector()
     fidelity = float(np.real(target.conj() @ clone @ target))
     return CloneResult(clone, float(success), fidelity, stokes_vector(clone))

@@ -5,8 +5,8 @@ and an integer orbital-angular-momentum (OAM) value drawn from a finite
 truncation set.  A two-photon state is stored as one dense complex symmetric
 matrix S over the n modes, |psi> = sum_ij S_ij adag_i adag_j |0>, normalized
 so that 2 ||S||_F^2 = 1.  An optical element M acts as S -> M S M^T, a port
-post-selection keeps the rows and columns of its modes, and the reduced
-single-photon state is 2 S S^dag.
+post-selection returns the block of S on the port's modes as a state over
+the port's sub-basis, and the reduced single-photon state is 2 S S^dag.
 """
 
 from __future__ import annotations
@@ -54,14 +54,23 @@ class ModeBasis:
                 raise ConfigurationError(f"duplicate mode {mode}")
             lookup[mode] = pos
         self.modes = modes
-        self.mode_paths = np.array([m.path for m in modes])
         self._lookup = lookup
+        self._ports = {}
         self.oam_set = frozenset(m.oam for m in modes)
         self.paths = frozenset(m.path for m in modes)
 
     @property
     def size(self) -> int:
         return len(self.modes)
+
+    def port(self, path: str):
+        """(sub-basis of ``path``'s modes, ``np.ix_`` index of its block), built once."""
+        if path not in self._ports:
+            idx = [i for i, m in enumerate(self.modes) if m.path == path]
+            if not idx:
+                raise BasisMismatchError(f"no modes on path {path!r}")
+            self._ports[path] = ModeBasis(self.modes[i] for i in idx), np.ix_(idx, idx)
+        return self._ports[path]
 
     def index(self, mode: ModeIndex) -> int:
         try:
@@ -188,16 +197,19 @@ def symmetrize_product(psi_a: PhotonState, psi_b: PhotonState) -> TwoPhotonState
 def project_keys(state: TwoPhotonState, path: str) -> tuple:
     """Post-select the runs where both photons exit on ``path``.
 
-    Keeps the rows and columns of S that belong to ``path``.  Returns
-    (normalized projected state, success probability p = 2 ||S_path||^2
-    relative to the input).
+    Returns (the block S_path of S on ``path``'s modes, normalized, as a
+    state over the sub-basis of those modes; success probability
+    p = 2 ||S_path||^2 relative to the input).  Raises InvalidStateError if
+    p > 1: the input was not normalized or an element was not unitary.
     """
-    on_path = state.basis.mode_paths == path
-    s = np.where(np.outer(on_path, on_path), state.amplitudes, 0.0)
+    sub, block = state.basis.port(path)
+    s = state.amplitudes[block]
     prob = 2.0 * float(np.vdot(s, s).real)
+    if prob > 1.0 + NORM_ATOL:
+        raise InvalidStateError(f"post-selection probability {prob} exceeds 1")
     if prob < 1e-30:
-        return TwoPhotonState(state.basis, np.zeros_like(s)), 0.0
-    return TwoPhotonState(state.basis, s / math.sqrt(prob)), prob
+        return TwoPhotonState(sub, np.zeros_like(s)), 0.0
+    return TwoPhotonState(sub, s / math.sqrt(prob)), prob
 
 
 @dataclass

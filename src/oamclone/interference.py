@@ -14,13 +14,14 @@ enhancement ratio R = 1 + mu does not.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import elements, fock
-from .fock import ConfigurationError, ModeIndex, PhotonState
+from .fock import ConfigurationError, PhotonState
 
 KAPPA = math.pi ** 2 / (4.0 * math.log(2.0))
 
@@ -66,6 +67,12 @@ def temporal_overlap(delay, profile: SpectralProfile):
     return v if v.ndim else float(v)
 
 
+@functools.lru_cache(maxsize=8)
+def _splitter(basis):
+    # checked once per basis: mu = 4p - 1 assumes a unitary splitter
+    return elements.beam_splitter(basis).validate()
+
+
 def _single_path(state: PhotonState) -> str:
     paths = {state.basis.modes[i].path
              for i in np.nonzero(np.abs(state.amplitudes) > 1e-10)[0]}
@@ -84,26 +91,10 @@ def internal_overlap(psi_a: PhotonState, psi_b: PhotonState) -> float:
     if {pa, pb} != {"a", "b"}:
         raise ConfigurationError("photons must enter on distinct input paths a and b")
     two = fock.symmetrize_product(psi_a, psi_b)
-    bs = elements.beam_splitter(psi_a.basis)
-    out = elements.apply(bs, two)
+    out = elements.apply(_splitter(psi_a.basis), two)
     _, prob = fock.project_keys(out, "a_prime")
     mu = 4.0 * prob - 1.0
     return min(max(mu, 0.0), 1.0)
-
-
-def internal_overlap_direct(psi_a: PhotonState, psi_b: PhotonState) -> float:
-    """mu via the direct formula |<psi_a | F psi_b>|^2 over internal labels."""
-    basis = psi_a.basis
-    amps_a = {}
-    amps_b = {}
-    for idx in np.nonzero(np.abs(psi_a.amplitudes) > 1e-15)[0]:
-        m = basis.modes[idx]
-        amps_a[(m.pol, m.oam)] = psi_a.amplitudes[idx]
-    for idx in np.nonzero(np.abs(psi_b.amplitudes) > 1e-15)[0]:
-        m = basis.modes[idx]
-        amps_b[(m.pol, -m.oam)] = psi_b.amplitudes[idx]
-    ov = sum(amps_a[k].conjugate() * v for k, v in amps_b.items() if k in amps_a)
-    return float(abs(ov) ** 2)
 
 
 def coincidence_expectation(psi_a: PhotonState, psi_b: PhotonState,

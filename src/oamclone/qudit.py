@@ -115,26 +115,25 @@ def qudit_clone(spec: QuditSpec, labels=None, oam_flip: bool = False) -> QuditCl
         raise ConfigurationError("labels not closed under m -> -m; use oam_flip=False")
     basis, bs = _qudit_optics(tuple(labels), bool(oam_flip))
 
-    def embed(vec, path):
+    def embed(vec, path, basis=basis):
         return fock.superposition_state(
             basis, [(ModeIndex(path, _POL, labels[k]), vec[k])
                     for k in range(d) if abs(vec[k]) > 1e-15])
 
     psi_a = embed(spec.amplitudes, "a")
     anc = ancilla_basis(spec.amplitudes)
-    success = 0.0
-    acc = None
+    success = acc = 0.0
     for k in range(d):
         psi_b = embed(anc[:, k], "b")
         two = fock.symmetrize_product(psi_a, psi_b)
         out = elements.apply(bs, two)
         kept, prob = fock.project_keys(out, "a_prime")
         rho = fock.reduced_single_pure(kept)
-        contrib = (prob / d) * rho.matrix
-        acc = contrib if acc is None else acc + contrib
+        acc = acc + (prob / d) * rho.matrix
         success += prob / d
-    clone = DensityOperator(basis, "single", acc / success)
-    target = embed(spec.amplitudes, "a_prime").amplitudes
+    clone = DensityOperator(kept.basis, "single", acc / success)  # the a' modes
+    # by mode, not by position: the port's sub-basis orders OAM ascending
+    target = embed(spec.amplitudes, "a_prime", kept.basis).amplitudes
     fidelity = float(np.real(target.conj() @ clone.matrix @ target))
     # both BS ports contribute equally; quote the combined success probability
     return QuditCloneResult(fidelity, 2.0 * success, clone)

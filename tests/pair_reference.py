@@ -2,7 +2,8 @@
 
 They read a two-photon state only through ``TwoPhotonState.amplitude``, so
 they check the package's symmetric coefficient matrix S without sharing
-its kernels.
+its kernels.  ``internal_overlap_direct`` checks the beam-splitter route of
+``interference.internal_overlap`` with the one-photon overlap formula.
 """
 
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 
 from oamclone.fock import (BasisMismatchError, DensityOperator, InvalidStateError,
-                           TwoPhotonState)
+                           PhotonState, TwoPhotonState)
 
 
 def pair_keys(basis):
@@ -70,3 +71,18 @@ def partial_trace_to_single(rho2):
     t = np.einsum("KL,Lqr->Kqr", rho2.matrix, a.conj())
     rho1 = np.einsum("Kpr,Kqr->pq", a, t)
     return DensityOperator(rho2.basis, "single", rho1)
+
+
+def internal_overlap_direct(psi_a: PhotonState, psi_b: PhotonState) -> float:
+    """mu via the direct formula |<psi_a | F psi_b>|^2 over internal labels."""
+    basis = psi_a.basis
+    amps_a = {}
+    amps_b = {}
+    for idx in np.nonzero(np.abs(psi_a.amplitudes) > 1e-15)[0]:
+        m = basis.modes[idx]
+        amps_a[(m.pol, m.oam)] = psi_a.amplitudes[idx]
+    for idx in np.nonzero(np.abs(psi_b.amplitudes) > 1e-15)[0]:
+        m = basis.modes[idx]
+        amps_b[(m.pol, -m.oam)] = psi_b.amplitudes[idx]
+    ov = sum(amps_a[k].conjugate() * v for k, v in amps_b.items() if k in amps_a)
+    return float(abs(ov) ** 2)

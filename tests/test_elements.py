@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oamclone import cloning, elements, fock, qudit
+from oamclone import cloning, elements, fock, interference, qudit
 from oamclone.elements import apply, beam_splitter
 from oamclone.fock import ModeIndex, PhotonState, build_basis, superposition_state
 from oamclone.qubit import QubitSpec
@@ -80,17 +80,23 @@ class TestBeamSplitter:
             m = build(basis, oam_flip).matrix
             return elements.ElementOperator(basis, np.abs(m))  # i/sqrt(2) -> 1/sqrt(2)
 
+        caches = (cloning._cloner_bs, qudit._qudit_optics, interference._splitter)
         monkeypatch.setattr(elements, "beam_splitter", reflection_phase_one)
-        cloning._cloner_bs.cache_clear()
-        qudit._qudit_optics.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
+        basis = cloning.cloner_basis()
+        pa, pb = (superposition_state(basis, [(ModeIndex(path, "L", 2), 1.0)])
+                  for path in ("a", "b"))
         try:
             with pytest.raises(fock.ConfigurationError, match="not unitary"):
                 cloning.run_cloner_full(QubitSpec.named("h"))
             with pytest.raises(fock.ConfigurationError, match="not unitary"):
                 qudit.qudit_clone(qudit.QuditSpec(np.ones(3)))
+            with pytest.raises(fock.ConfigurationError, match="not unitary"):
+                interference.internal_overlap(pa, pb)
         finally:
-            cloning._cloner_bs.cache_clear()
-            qudit._qudit_optics.cache_clear()
+            for cache in caches:
+                cache.cache_clear()
 
     def test_missing_paths_rejected(self):
         with pytest.raises(fock.ConfigurationError):

@@ -114,6 +114,11 @@ class TestKernelsMatchTheLoopReference:
                 ref_kept, ref_prob = _loop_project_keys(pair_amplitudes(out), basis.modes,
                                                         path)
                 assert prob == pytest.approx(ref_prob, abs=TOL)
+                # the kept state lives on the path's modes, in the basis order
+                port = kept.basis
+                assert port.modes == tuple(m for m in basis.modes if m.path == path)
+                ref_kept = {tuple(sorted(port.index(basis.modes[i]) for i in key)): a
+                            for key, a in ref_kept.items()}
                 _assert_close_pairs(kept, ref_kept, TOL / math.sqrt(max(ref_prob, TOL)))
 
 
@@ -239,6 +244,34 @@ class TestSymmetrizeProduct:
                 math.sqrt(sum(abs(x) ** 2 for x in a.values())), abs=1e-12)
         with pytest.raises(fock.BasisMismatchError):
             TwoPhotonState(basis, np.zeros((2, 2)))
+
+
+class TestProjectKeys:
+    BASIS = build_basis(("a", "b"), (-2, 2), pols=("L",))
+
+    def _pair_on_a(self):
+        rng = np.random.default_rng(11)
+        return symmetrize_product(*(_photon(self.BASIS, rng, [0, 1]) for _ in range(2)))
+
+    def test_pair_already_on_the_port_is_kept_whole(self):
+        two = self._pair_on_a()
+        kept, prob = fock.project_keys(two, "a")
+        assert prob == pytest.approx(1.0, abs=fock.NORM_ATOL)
+        assert kept.basis.modes == self.BASIS.modes[:2]
+        assert np.allclose(kept.amplitudes, two.amplitudes[:2, :2], atol=TOL)
+
+    def test_probability_above_one_rejected(self):
+        two = self._pair_on_a()
+        doubled = TwoPhotonState(self.BASIS, 2.0 * two.amplitudes)  # 2 ||S||^2 = 4
+        with pytest.raises(InvalidStateError, match="exceeds 1"):
+            fock.project_keys(doubled, "a")
+
+    def test_port_sub_basis_is_built_once(self):
+        assert self.BASIS.port("b") is self.BASIS.port("b")
+
+    def test_path_without_modes_rejected(self):
+        with pytest.raises(fock.BasisMismatchError):
+            fock.project_keys(self._pair_on_a(), "a_prime")
 
 
 class TestPureDensity:

@@ -12,9 +12,9 @@ from oamclone.interference import (
     coincidence_expectation,
     hom_curve,
     internal_overlap,
-    internal_overlap_direct,
     temporal_overlap,
 )
+from pair_reference import internal_overlap_direct
 
 BASIS = build_basis(("a", "b", "a_prime", "b_prime"), (-2, 2), pols=("L",))
 

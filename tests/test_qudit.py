@@ -73,11 +73,26 @@ class TestChannelAgreement:
         # conjugate, a transpose) fails even where F and p agree
         phi = random_qudit(d, np.random.default_rng(50 + d)).amplitudes
         rho = qudit_clone(QuditSpec(phi)).clone_density
+        assert rho.matrix.shape == (d, d)  # the a' modes only
         a_prime = [rho.basis.index(fock.ModeIndex("a_prime", "L", k)) for k in range(d)]
         block = rho.matrix[np.ix_(a_prime, a_prime)]
         expected, _ = symmetric_subspace_clone(np.outer(phi, phi.conj()), np.eye(d) / d)
         assert np.max(np.abs(block - expected)) < 1e-12
         assert np.trace(block).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("labels, oam_flip", [((3, -1, 1, -3), True), ((5, 0, 2), False)])
+    def test_labels_out_of_order_on_the_port(self, labels, oam_flip):
+        # the port's sub-basis orders OAM ascending, not in label order
+        d = len(labels)
+        phi = random_qudit(d, np.random.default_rng(60 + d)).amplitudes
+        res = qudit_clone(QuditSpec(phi), labels=labels, oam_flip=oam_flip)
+        f, p = qudit_formula(d)
+        assert res.fidelity == pytest.approx(f, abs=1e-12)
+        assert res.success_probability == pytest.approx(p, abs=1e-12)
+        rho = res.clone_density
+        order = [rho.basis.index(fock.ModeIndex("a_prime", "L", m)) for m in labels]
+        expected, _ = symmetric_subspace_clone(np.outer(phi, phi.conj()), np.eye(d) / d)
+        assert np.max(np.abs(rho.matrix[np.ix_(order, order)] - expected)) < 1e-12
 
     def test_fidelity_is_input_independent(self):
         rng = np.random.default_rng(43)
