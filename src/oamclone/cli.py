@@ -40,7 +40,7 @@ MAX_DELAY_STEPS = 100_000  # 4.3 us per delay: 0.43 s and a 5 MB CSV
 MAX_STOKES_STATES = 60  # ten passes over the six states
 MAX_STOKES_RUNS = 1_000  # 0.48 ms per run and state: 29 s for 60 states
 MAX_COUNTS_PER_BASIS = 10 ** 9  # a Poisson draw costs the same at any mean
-MAX_ANCILLA_SAMPLES = 100_000  # 0.11 ms per sampled ancilla: 11 s
+MAX_ANCILLA_SAMPLES = 100_000  # 0.06-0.07 ms per sampled ancilla: 6-7 s
 # duration_s * source_rate_hz; a Poisson draw costs the same at any mean, but
 # numpy rejects means above about 9.2e18 and the count rate is at most
 # 0.1875 * source_rate_hz

@@ -3,13 +3,14 @@
 The qubit lives on the {+2, -2} OAM subspace.  The input photon enters path
 a, the ancilla photon enters path b in the maximally mixed state, the two
 interfere on the balanced beam splitter and the runs where both photons
-emerge in a' are kept.  Each surviving photon carries the optimal clone:
-fidelity 5/6, single-port success probability 3/8, Bloch vector shrunk to
-two thirds of the input one.
+emerge in a' are kept (``elements.coalesce``, as for the qudit cloner).
+Each surviving photon carries the optimal clone: fidelity 5/6, single-port
+success probability 3/8, Bloch vector shrunk to two thirds of the input one.
 
 Two independent routes compute the channel: ``run_cloner_full`` evolves the
 two-photon state through the beam-splitter unitary, ``run_cloner_projector``
 projects the input (x) ancilla pair on the symmetric subspace (numpy only).
+Each clone is checked in closed form: unit trace, Hermiticity, det >= 0.
 """
 
 from __future__ import annotations
@@ -21,14 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elements, fock
-from .fock import (
-    ConfigurationError,
-    DensityOperator,
-    InvalidStateError,
-    ModeIndex,
-    PhotonState,
-    build_basis,
-)
+from .fock import (HERM_ATOL, NORM_ATOL, PSD_ATOL, ConfigurationError, InvalidStateError,
+                   ModeIndex, PhotonState, build_basis)
 from .qubit import (PAULI, SIX_STATE_AMPLITUDES, QubitSpec,  # noqa: F401
                     haar_random_qubit, stokes_vector)
 
@@ -63,12 +58,6 @@ def cloner_basis():
                        (OAM_MINUS, OAM_PLUS), pols=(_POL,))
 
 
-@functools.lru_cache(maxsize=1)
-def _cloner_bs():
-    # checked once here: the port probability 2 ||S_port||^2 assumes a unitary M
-    return elements.beam_splitter(cloner_basis()).validate()
-
-
 def embed_qubit(qubit: QubitSpec, basis, path: str) -> PhotonState:
     return fock.superposition_state(basis, [
         (ModeIndex(path, _POL, OAM_PLUS), qubit.alpha),
@@ -76,23 +65,13 @@ def embed_qubit(qubit: QubitSpec, basis, path: str) -> PhotonState:
     ])
 
 
-def _extract_o2(rho1: DensityOperator, path: str) -> np.ndarray:
-    basis = rho1.basis
-    idx = [basis.index(ModeIndex(path, _POL, OAM_PLUS)),
-           basis.index(ModeIndex(path, _POL, OAM_MINUS))]
-    block = rho1.matrix[np.ix_(idx, idx)]
-    tr = np.trace(block).real
-    if tr < 1e-12:
-        raise InvalidStateError("no population in the o2 sector")
-    return block / tr
-
-
 def _ancilla_states(n_samples, seed):
     """Ancilla ensemble realizing the maximally mixed state.
 
     Exact mode: the even {+2, -2} mixture.  Sampled mode: a half-wave plate
     at a uniformly random angle before the transferrer, i.e. real qubits
-    (cos 2t, sin 2t) with t uniform, which average to I/2.
+    (cos 2t, sin 2t) with t uniform, which average to I/2; yielded one at a
+    time, so memory does not grow with n_samples.
     """
     if n_samples is None:
         return [(QubitSpec(1.0, 0.0), 0.5), (QubitSpec(0.0, 1.0), 0.5)]
@@ -101,13 +80,17 @@ def _ancilla_states(n_samples, seed):
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, math.pi, size=n_samples)
     w = 1.0 / n_samples
-    return [(QubitSpec(math.cos(2 * t), math.sin(2 * t)), w) for t in angles]
+    return ((QubitSpec(math.cos(2 * t), math.sin(2 * t)), w) for t in angles)
 
 
-def _assemble(branches, qubit: QubitSpec) -> CloneResult:
-    """Combine per-ancilla post-selected branches into the clone state."""
-    success = sum(w * p for _, w, p in branches)
-    clone = sum(w * p * rho for rho, w, p in branches) / success
+def _assemble(clone: np.ndarray, success: float, qubit: QubitSpec) -> CloneResult:
+    """Check the 2x2 clone (Hermitian with unit trace: PSD iff det >= 0) and score it."""
+    (c00, c01), (c10, c11) = clone.tolist()
+    trace_err, herm_err = abs(c00 + c11 - 1.0), abs(c01 - c10.conjugate())
+    det = (c00 * c11 - c01 * c10).real
+    if trace_err > NORM_ATOL or herm_err > HERM_ATOL or det < -PSD_ATOL:
+        raise InvalidStateError(f"clone is not a density matrix: |tr - 1| = {trace_err:.2e}, "
+                                f"Hermiticity residual {herm_err:.2e}, det {det:.2e}")
     target = qubit.vector()
     fidelity = float(np.real(target.conj() @ clone @ target))
     return CloneResult(clone, float(success), fidelity, stokes_vector(clone))
@@ -125,22 +108,15 @@ def run_cloner_full(qubit: QubitSpec, n_ancilla_samples: int | None = None,
     if port not in ("a_prime", "b_prime"):
         raise ConfigurationError("port must be 'a_prime' or 'b_prime'")
     basis = cloner_basis()
-    bs = _cloner_bs()
-    psi_a = embed_qubit(qubit, basis, "a")
     ensemble = ([(ancilla, 1.0)] if ancilla is not None
                 else _ancilla_states(n_ancilla_samples, seed))
-    branches = []
-    for chi, w in ensemble:
-        psi_b = embed_qubit(chi, basis, "b")
-        two = fock.symmetrize_product(psi_a, psi_b)
-        out = elements.apply(bs, two)
-        kept, prob = fock.project_keys(out, port)
-        rho = _extract_o2(fock.reduced_single_pure(kept), path=port)
-        if port == "b_prime":
-            # the input photon reaches b' by reflection; undo the known OAM flip
-            rho = _FLIP @ rho @ _FLIP
-        branches.append((rho, w, prob))
-    return _assemble(branches, qubit)
+    rho, success = elements.coalesce(
+        embed_qubit(qubit, basis, "a"),
+        ((embed_qubit(chi, basis, "b"), w) for chi, w in ensemble), port)
+    # the port orders OAM ascending (-2, +2), the qubit (+2, -2); on b' the
+    # input photon arrives by reflection, and its OAM flip undoes that reorder
+    return _assemble(rho.matrix if port == "b_prime" else rho.matrix[::-1, ::-1],
+                     success, qubit)
 
 
 def run_cloner_projector(qubit: QubitSpec, n_ancilla_samples: int | None = None,
@@ -169,12 +145,10 @@ def clone_with_preparation_infidelity(qubit: QubitSpec, f_prep: float,
     if f_prep == 1.0:
         return good
     bad = runner(qubit.orthogonal())
-    success = f_prep * good.success_probability + (1 - f_prep) * bad.success_probability
-    clone = (f_prep * good.success_probability * good.clone_density
-             + (1 - f_prep) * bad.success_probability * bad.clone_density) / success
-    target = qubit.vector()
-    fid = float(np.real(target.conj() @ clone @ target))
-    return CloneResult(clone, float(success), fid, stokes_vector(clone))
+    w_good = f_prep * good.success_probability
+    w_bad = (1 - f_prep) * bad.success_probability
+    return _assemble((w_good * good.clone_density + w_bad * bad.clone_density)
+                     / (w_good + w_bad), w_good + w_bad, qubit)
 
 
 @dataclass
@@ -194,12 +168,9 @@ def universality_sweep(n: int, seed: int | None = 0, f_prep: float = 1.0) -> Swe
     qubits = {label: QubitSpec.named(label) for label in SIX_STATE_AMPLITUDES}
     for k in range(n):
         qubits[f"random_{k}"] = haar_random_qubit(rng)
-    fids = {}
-    for label, q in qubits.items():
-        if f_prep == 1.0:
-            fids[label] = run_cloner_full(q).fidelity
-        else:
-            fids[label] = clone_with_preparation_infidelity(q, f_prep).fidelity
+    # looked up now, not the bound default, so a wrapper on run_cloner_full sees each clone
+    fids = {label: clone_with_preparation_infidelity(q, f_prep, run_cloner_full).fidelity
+            for label, q in qubits.items()}
     values = np.array(list(fids.values()))
     return SweepSummary(fids, float(values.min()), float(values.max()),
                         float(values.mean()), float(values.std()))

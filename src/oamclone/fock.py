@@ -54,6 +54,7 @@ class ModeBasis:
                 raise ConfigurationError(f"duplicate mode {mode}")
             lookup[mode] = pos
         self.modes = modes
+        self._hash = hash(modes)  # once: every splitter-cache lookup hashes the basis
         self._lookup = lookup
         self._ports = {}
         self.oam_set = frozenset(m.oam for m in modes)
@@ -91,7 +92,7 @@ class ModeBasis:
         return isinstance(other, ModeBasis) and self.modes == other.modes
 
     def __hash__(self):
-        return hash(self.modes)
+        return self._hash
 
 
 def build_basis(paths, oam_set=DEFAULT_OAM_SET, pols=POLS) -> ModeBasis:

@@ -14,13 +14,12 @@ enhancement ratio R = 1 + mu does not.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import elements, fock
+from . import elements
 from .fock import ConfigurationError, PhotonState
 
 KAPPA = math.pi ** 2 / (4.0 * math.log(2.0))
@@ -67,12 +66,6 @@ def temporal_overlap(delay, profile: SpectralProfile):
     return v if v.ndim else float(v)
 
 
-@functools.lru_cache(maxsize=8)
-def _splitter(basis):
-    # checked once per basis: mu = 4p - 1 assumes a unitary splitter
-    return elements.beam_splitter(basis).validate()
-
-
 def _single_path(state: PhotonState) -> str:
     paths = {state.basis.modes[i].path
              for i in np.nonzero(np.abs(state.amplitudes) > 1e-10)[0]}
@@ -84,15 +77,14 @@ def _single_path(state: PhotonState) -> str:
 def internal_overlap(psi_a: PhotonState, psi_b: PhotonState) -> float:
     """Squared internal-state overlap mu after the reflection OAM flip.
 
-    Computed from the full two-photon beam-splitter evolution: the
-    both-in-a' post-selection probability is (1 + mu)/4, so mu = 4p - 1.
+    Computed from the full two-photon beam-splitter evolution
+    (``elements.coalesce``): the both-in-a' post-selection probability is
+    (1 + mu)/4, so mu = 4p - 1.
     """
     pa, pb = _single_path(psi_a), _single_path(psi_b)
     if {pa, pb} != {"a", "b"}:
         raise ConfigurationError("photons must enter on distinct input paths a and b")
-    two = fock.symmetrize_product(psi_a, psi_b)
-    out = elements.apply(_splitter(psi_a.basis), two)
-    _, prob = fock.project_keys(out, "a_prime")
+    _, prob = elements.coalesce(psi_a, [(psi_b, 1.0)], "a_prime")
     mu = 4.0 * prob - 1.0
     return min(max(mu, 0.0), 1.0)
 

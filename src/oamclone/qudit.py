@@ -6,8 +6,8 @@ reflection).  Passing explicit OAM labels with ``oam_flip=True`` restores
 the physical reflection bookkeeping; the label set must then be closed
 under m -> -m.
 
-Closed forms: F = 1/2 + 1/(d+1) and p = (d+1)/(2d) for the both-port
-success probability.
+The input meets each ancilla-basis state, weight 1/d, in ``elements.coalesce``
+at port a'.  Closed forms: F = 1/2 + 1/(d+1), both-port p = (d+1)/(2d).
 """
 
 from __future__ import annotations
@@ -94,11 +94,8 @@ def _default_labels(d: int, oam_flip: bool):
 
 
 @functools.lru_cache(maxsize=32)
-def _qudit_optics(labels: tuple, oam_flip: bool):
-    """Mode basis and beam splitter of one label set, built and checked for
-    unitarity once per process."""
-    basis = build_basis(("a", "b", "a_prime", "b_prime"), labels, pols=(_POL,))
-    return basis, elements.beam_splitter(basis, oam_flip=oam_flip).validate()
+def _qudit_basis(labels: tuple):
+    return build_basis(("a", "b", "a_prime", "b_prime"), labels, pols=(_POL,))
 
 
 def qudit_clone(spec: QuditSpec, labels=None, oam_flip: bool = False) -> QuditCloneResult:
@@ -113,27 +110,19 @@ def qudit_clone(spec: QuditSpec, labels=None, oam_flip: bool = False) -> QuditCl
         raise ConfigurationError("labels must be d distinct integers")
     if oam_flip and any(-m not in labels for m in labels):
         raise ConfigurationError("labels not closed under m -> -m; use oam_flip=False")
-    basis, bs = _qudit_optics(tuple(labels), bool(oam_flip))
+    basis = _qudit_basis(tuple(labels))
 
     def embed(vec, path, basis=basis):
         return fock.superposition_state(
             basis, [(ModeIndex(path, _POL, labels[k]), vec[k])
                     for k in range(d) if abs(vec[k]) > 1e-15])
 
-    psi_a = embed(spec.amplitudes, "a")
     anc = ancilla_basis(spec.amplitudes)
-    success = acc = 0.0
-    for k in range(d):
-        psi_b = embed(anc[:, k], "b")
-        two = fock.symmetrize_product(psi_a, psi_b)
-        out = elements.apply(bs, two)
-        kept, prob = fock.project_keys(out, "a_prime")
-        rho = fock.reduced_single_pure(kept)
-        acc = acc + (prob / d) * rho.matrix
-        success += prob / d
-    clone = DensityOperator(kept.basis, "single", acc / success)  # the a' modes
+    clone, success = elements.coalesce(  # over the a' modes
+        embed(spec.amplitudes, "a"), ((embed(anc[:, k], "b"), 1.0 / d) for k in range(d)),
+        "a_prime", bool(oam_flip))
     # by mode, not by position: the port's sub-basis orders OAM ascending
-    target = embed(spec.amplitudes, "a_prime", kept.basis).amplitudes
+    target = embed(spec.amplitudes, "a_prime", clone.basis).amplitudes
     fidelity = float(np.real(target.conj() @ clone.matrix @ target))
     # both BS ports contribute equally; quote the combined success probability
     return QuditCloneResult(fidelity, 2.0 * success, clone)

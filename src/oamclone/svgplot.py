@@ -5,8 +5,6 @@ The CSV output is the source of truth; these figures are views only.
 
 from __future__ import annotations
 
-import math
-
 _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
 

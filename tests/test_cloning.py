@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oamclone import cloning
+from oamclone import cloning, elements
 from oamclone.cloning import (
     QubitSpec,
     clone_with_preparation_infidelity,
@@ -13,7 +13,7 @@ from oamclone.cloning import (
     stokes_vector,
     universality_sweep,
 )
-from oamclone.fock import ConfigurationError, InvalidStateError
+from oamclone.fock import ConfigurationError, DensityOperator, InvalidStateError
 
 
 class TestQubitSpec:
@@ -127,6 +127,21 @@ class TestOptimalCloning:
     def test_bad_port_rejected(self):
         with pytest.raises(ConfigurationError):
             run_cloner_full(QubitSpec.named("h"), port="c")
+
+    @pytest.mark.parametrize("bad", [
+        [[1.2, 0.0], [0.0, -0.2]],  # trace 1 and Hermitian, but det < 0
+        [[0.5, 0.1], [0.0, 0.5]],  # not Hermitian
+        [[0.6, 0.0], [0.0, 0.5]],  # trace 1.1
+    ])
+    def test_clone_that_is_not_a_density_matrix_is_rejected(self, monkeypatch, bad):
+        port_basis = cloning.cloner_basis().port("a_prime")[0]
+
+        def broken_coalesce(psi_a, ancillas, port, oam_flip=True):
+            return DensityOperator(port_basis, "single", np.array(bad)), 0.375
+
+        monkeypatch.setattr(elements, "coalesce", broken_coalesce)
+        with pytest.raises(InvalidStateError, match="not a density matrix"):
+            run_cloner_full(QubitSpec.named("h"))
 
 
 class TestUniversality:

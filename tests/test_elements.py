@@ -80,7 +80,7 @@ class TestBeamSplitter:
             m = build(basis, oam_flip).matrix
             return elements.ElementOperator(basis, np.abs(m))  # i/sqrt(2) -> 1/sqrt(2)
 
-        caches = (cloning._cloner_bs, qudit._qudit_optics, interference._splitter)
+        caches = (elements.splitter, qudit._qudit_basis)
         monkeypatch.setattr(elements, "beam_splitter", reflection_phase_one)
         for cache in caches:
             cache.cache_clear()
@@ -105,6 +105,32 @@ class TestBeamSplitter:
     def test_asymmetric_truncation_rejected_with_flip(self):
         with pytest.raises(fock.ConfigurationError):
             beam_splitter(build_basis(("a", "b", "a_prime", "b_prime"), (0, 2)))
+
+
+class TestCoalesce:
+    def test_clone_is_over_the_port_in_ascending_oam_order(self):
+        basis = cloning.cloner_basis()
+        plus2, minus2 = ({path: superposition_state(basis, [(ModeIndex(path, "L", m), 1.0)])
+                          for path in ("a", "b")} for m in (2, -2))
+        rho, success = elements.coalesce(plus2["a"], [(plus2["b"], 0.5), (minus2["b"], 0.5)],
+                                         "a_prime")
+        assert rho.basis == basis.port("a_prime")[0]
+        assert [m.oam for m in rho.basis] == [-2, 2]
+        assert np.allclose(rho.matrix, np.diag([1.0 / 6.0, 5.0 / 6.0]), atol=1e-12)
+        assert success == pytest.approx(3.0 / 8.0, abs=1e-12)
+
+    def test_one_checked_splitter_serves_every_scenario(self):
+        basis = cloning.cloner_basis()
+        assert basis == qudit._qudit_basis((-2, 2))
+        assert hash(basis) == hash(qudit._qudit_basis((-2, 2)))
+        pa, pb = (superposition_state(basis, [(ModeIndex(path, "L", 2), 1.0)])
+                  for path in ("a", "b"))
+        elements.splitter.cache_clear()
+        interference.internal_overlap(pa, pb)
+        cloning.run_cloner_full(QubitSpec.named("h"))
+        qudit.qudit_clone(qudit.QuditSpec(np.ones(2)), labels=(-2, 2), oam_flip=True)
+        info = elements.splitter.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestApply:

@@ -150,7 +150,7 @@ class TestOamFlipMode:
             qudit_clone(QuditSpec(np.ones(2)), labels=(1, 1))
 
     def test_optics_are_cached_per_label_set_and_flip(self):
-        qudit._qudit_optics.cache_clear()
+        elements.splitter.cache_clear()
         spec = random_qudit(4, np.random.default_rng(8))
         f, p = qudit_formula(4)
         cases = [((0, 1, 2, 3), False), ((-3, -1, 1, 3), False), ((-3, -1, 1, 3), True)]
@@ -159,9 +159,10 @@ class TestOamFlipMode:
                 res = qudit_clone(spec, labels=labels, oam_flip=flip)
                 assert res.fidelity == pytest.approx(f, abs=1e-10)
                 assert res.success_probability == pytest.approx(p, abs=1e-10)
-        info = qudit._qudit_optics.cache_info()
+        info = elements.splitter.cache_info()
         assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
-        splitters = [qudit._qudit_optics(labels, flip)[1].matrix for labels, flip in cases]
+        splitters = [elements.splitter(qudit._qudit_basis(labels), flip).matrix
+                     for labels, flip in cases]
         assert not np.array_equal(splitters[1], splitters[2])  # the flip moves reflected modes
 
 
