@@ -6,8 +6,12 @@ reflection).  Passing explicit OAM labels with ``oam_flip=True`` restores
 the physical reflection bookkeeping; the label set must then be closed
 under m -> -m.
 
-The input meets each ancilla-basis state, weight 1/d, in ``elements.coalesce``
-at port a'.  Closed forms: F = 1/2 + 1/(d+1), both-port p = (d+1)/(2d).
+The input meets each label state |b, m_k> of the ancilla, weight 1/d, in
+``elements.coalesce`` at port a'.  The clone is linear in the ancilla state, so
+this label basis gives the same clone as any other orthonormal basis of I/d
+(Werner, PRA 58, 1827 (1998)), and each branch occupies only d + 1 modes
+before the splitter.  Closed forms: F = 1/2 + 1/(d+1), both-port
+p = (d+1)/(2d).
 """
 
 from __future__ import annotations
@@ -63,29 +67,6 @@ def qudit_formula(d: int):
     return 0.5 + 1.0 / (d + 1.0), (d + 1.0) / (2.0 * d)
 
 
-def ancilla_basis(phi: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis with phi as the first column.
-
-    Completion by modified Gram-Schmidt over the canonical unit vectors in
-    fixed pivot order, skipping near-dependent candidates.
-    """
-    d = phi.size
-    cols = [np.asarray(phi, dtype=complex)]
-    for k in range(d):
-        if len(cols) == d:
-            break
-        v = np.zeros(d, dtype=complex)
-        v[k] = 1.0
-        for c in cols:
-            v = v - np.vdot(c, v) * c
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-9:
-            cols.append(v / nrm)
-    if len(cols) != d:
-        raise ConfigurationError("basis completion failed")
-    return np.column_stack(cols)
-
-
 def _default_labels(d: int, oam_flip: bool):
     if oam_flip:
         # symmetric integer set closed under negation, e.g. d=4 -> -3,-1,1,3
@@ -101,28 +82,31 @@ def _qudit_basis(labels: tuple):
 def qudit_clone(spec: QuditSpec, labels=None, oam_flip: bool = False) -> QuditCloneResult:
     """Run the symmetrization channel with an I_d/d ancilla.
 
-    The ancilla mixture is taken over the deterministic basis whose first
-    element is the input state itself.
+    The ancilla mixture is taken over the label states |b, m_k>, weight 1/d
+    each, so a branch occupies d + 1 modes before the splitter.  The input
+    and the ancilla enter on different paths, so the post-selected clone is
+    linear in the ancilla state sigma, and any orthonormal basis of
+    I_d/d = sum_k |k><k|/d gives the same clone.
     """
     d = spec.d
-    labels = list(labels) if labels is not None else _default_labels(d, oam_flip)
-    if len(set(labels)) != d:
+    labels = _default_labels(d, oam_flip) if labels is None else list(labels)
+    try:  # 1.0 passes; 0.5 or "1" would name no basis mode
+        ints = [int(m) for m in labels]
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != labels or len(set(labels)) != d:
         raise ConfigurationError("labels must be d distinct integers")
     if oam_flip and any(-m not in labels for m in labels):
         raise ConfigurationError("labels not closed under m -> -m; use oam_flip=False")
     basis = _qudit_basis(tuple(labels))
-
-    def embed(vec, path, basis=basis):
-        return fock.superposition_state(
-            basis, [(ModeIndex(path, _POL, labels[k]), vec[k])
-                    for k in range(d) if abs(vec[k]) > 1e-15])
-
-    anc = ancilla_basis(spec.amplitudes)
+    amps = spec.amplitudes
+    psi_a = fock.superposition_state(basis, [(ModeIndex("a", _POL, labels[k]), amps[k])
+                                             for k in range(d) if abs(amps[k]) > 1e-15])
     clone, success = elements.coalesce(  # over the a' modes
-        embed(spec.amplitudes, "a"), ((embed(anc[:, k], "b"), 1.0 / d) for k in range(d)),
-        "a_prime", bool(oam_flip))
-    # by mode, not by position: the port's sub-basis orders OAM ascending
-    target = embed(spec.amplitudes, "a_prime", clone.basis).amplitudes
+        psi_a, ((fock.superposition_state(basis, [(ModeIndex("b", _POL, m), 1.0)]), 1.0 / d)
+                for m in labels), "a_prime", bool(oam_flip))
+    # the input over the port's sub-basis, which orders OAM ascending
+    target = psi_a.amplitudes[[basis.index(ModeIndex("a", _POL, m)) for m in sorted(labels)]]
     fidelity = float(np.real(target.conj() @ clone.matrix @ target))
     # both BS ports contribute equally; quote the combined success probability
     return QuditCloneResult(fidelity, 2.0 * success, clone)

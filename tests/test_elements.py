@@ -154,6 +154,35 @@ class TestApply:
             for k, amp in pair_amplitudes(lifted).items():
                 assert amp == pytest.approx(expected[k], abs=1e-10)
 
+    @pytest.mark.parametrize("occupied", [1, 25, 96])
+    def test_at_the_gather_size_the_product_matches_the_dense_one(self, occupied):
+        basis = qudit._qudit_basis(tuple(range(24)))
+        assert basis.size == 96 >= elements.GATHER_MIN_MODES
+        bs = elements.splitter(basis, False)
+        rng = np.random.default_rng(occupied)
+        ancilla = superposition_state(basis, [(ModeIndex("b", "L", 7), 1.0)])
+        if occupied == 1:
+            two = fock.symmetrize_product(ancilla, ancilla)
+        elif occupied == 25:  # a qudit branch: the input on path a, one label on b
+            v = rng.normal(size=24) + 1j * rng.normal(size=24)
+            psi = superposition_state(basis, [(ModeIndex("a", "L", m), v[m]) for m in range(24)])
+            two = fock.symmetrize_product(psi, ancilla)
+        else:
+            two = fock.symmetrize_product(_random_state(basis, rng), _random_state(basis, rng))
+        assert np.count_nonzero(two.amplitudes.any(0)) == occupied
+        dense = bs.matrix @ two.amplitudes @ bs.matrix.T
+        out = apply(bs, two).amplitudes
+        assert np.max(np.abs(out - dense)) <= 16 * np.finfo(float).eps
+
+    def test_below_the_gather_size_the_product_is_the_dense_one(self):
+        basis = cloning.cloner_basis()
+        assert basis.size < elements.GATHER_MIN_MODES
+        bs = elements.splitter(basis)
+        rng = np.random.default_rng(37)
+        two = fock.symmetrize_product(_random_state(basis, rng), _random_state(basis, rng))
+        assert np.array_equal(apply(bs, two).amplitudes,
+                              bs.matrix @ two.amplitudes @ bs.matrix.T)
+
     def test_basis_mismatch_rejected(self):
         op = beam_splitter(build_basis(("a", "b", "a_prime", "b_prime"), (-2, 2)))
         other = superposition_state(build_basis(("b",), (0,)),

@@ -5,7 +5,6 @@ from oamclone import cloning, elements, fock, qubit, qudit
 from oamclone.fock import ConfigurationError
 from oamclone.qudit import (
     QuditSpec,
-    ancilla_basis,
     brute_force_oracle,
     qudit_clone,
     qudit_formula,
@@ -36,20 +35,6 @@ class TestFormula:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ConfigurationError):
             qudit_formula(0)
-
-
-class TestAncillaBasis:
-    def test_unitary_with_input_first(self):
-        rng = np.random.default_rng(1)
-        for d in (2, 3, 5, 7):
-            phi = random_qudit(d, rng).amplitudes
-            u = ancilla_basis(phi)
-            assert np.allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
-            assert np.allclose(u[:, 0], phi, atol=1e-12)
-
-    def test_deterministic(self):
-        phi = np.array([0.6, 0.8j, 0.0])
-        assert np.array_equal(ancilla_basis(phi), ancilla_basis(phi))
 
 
 class TestChannelAgreement:
@@ -148,6 +133,15 @@ class TestOamFlipMode:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ConfigurationError):
             qudit_clone(QuditSpec(np.ones(2)), labels=(1, 1))
+
+    @pytest.mark.parametrize("labels", [(0.5, 1.5), (0.4, 0.6), ("1", "2")])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(ConfigurationError, match="distinct integers"):
+            qudit_clone(QuditSpec(np.ones(2)), labels=labels)
+
+    def test_integer_valued_float_labels_accepted(self):
+        res = qudit_clone(QuditSpec(np.array([0.6, 0.8j])), labels=(1.0, 2.0))
+        assert res.fidelity == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_optics_are_cached_per_label_set_and_flip(self):
         elements.splitter.cache_clear()
