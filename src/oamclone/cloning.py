@@ -1,14 +1,13 @@
-"""1 -> 2 symmetrization cloner for OAM qubits.
+"""The 1 -> 2 symmetrization cloner, one core for every dimension d.
 
-The qubit lives on the {+2, -2} OAM subspace.  The input photon enters path
-a, the ancilla photon enters path b in the maximally mixed state, the two
-interfere on the balanced beam splitter and the runs where both photons
-emerge in a' are kept (``elements.coalesce``, as for the qudit cloner).
-Each surviving photon carries the optimal clone: fidelity 5/6, single-port
-success probability 3/8, Bloch vector shrunk to two thirds of the input one.
+The input photon enters path a over integer OAM labels, each state of the
+I/d ancilla mixture enters path b, and the runs where both photons leave the
+balanced beam splitter by one port are kept (``elements.coalesce``): each
+carries the clone.  The OAM qubit on {+2, -2} is the d = 2 case: fidelity
+5/6, single-port success probability 3/8, Bloch vector shrunk to 2/3.
 
-Two independent routes compute the channel: ``run_cloner_full`` evolves the
-two-photon state through the beam-splitter unitary, ``run_cloner_projector``
+Two independent routes compute the qubit channel: ``run_cloner_full`` evolves
+the two-photon state through the beam-splitter unitary, ``run_cloner_projector``
 projects the input (x) ancilla pair on the symmetric subspace (numpy only).
 Each clone is checked in closed form: unit trace, Hermiticity, det >= 0.
 """
@@ -23,15 +22,13 @@ import numpy as np
 
 from . import elements, fock
 from .fock import (HERM_ATOL, NORM_ATOL, PSD_ATOL, ConfigurationError, InvalidStateError,
-                   ModeIndex, PhotonState, build_basis)
+                   ModeBasis, ModeIndex, PhotonState, build_basis)
 from .qubit import (PAULI, SIX_STATE_AMPLITUDES, QubitSpec,  # noqa: F401
                     haar_random_qubit, stokes_vector)
 
 OAM_PLUS = 2
 OAM_MINUS = -2
-_POL = "L"  # both photons share one polarization; the qubit is OAM only
-
-_FLIP = np.array([[0, 1], [1, 0]], dtype=complex)  # OAM sign inversion on o2
+_POL = "L"  # both photons share one polarization; the labels are OAM only
 
 
 @dataclass
@@ -52,10 +49,22 @@ class CloneResult:
         }
 
 
-@functools.lru_cache(maxsize=1)
-def cloner_basis():
-    return build_basis(("a", "b", "a_prime", "b_prime"),
-                       (OAM_MINUS, OAM_PLUS), pols=(_POL,))
+@functools.lru_cache(maxsize=32)
+def label_basis(labels: tuple, oam_flip: bool) -> ModeBasis:
+    """The four-path basis over the OAM ``labels``, which are checked once per cache entry."""
+    try:  # 1.0 passes; 0.5 or "1" would name no basis mode
+        ints = [int(m) for m in labels]
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != list(labels) or len(set(ints)) != len(ints):
+        raise ConfigurationError("labels must be d distinct integers")
+    if oam_flip and any(-m not in ints for m in ints):
+        raise ConfigurationError("labels not closed under m -> -m; use oam_flip=False")
+    return build_basis(("a", "b", "a_prime", "b_prime"), ints, pols=(_POL,))
+
+
+def cloner_basis() -> ModeBasis:
+    return label_basis((OAM_PLUS, OAM_MINUS), True)
 
 
 def embed_qubit(qubit: QubitSpec, basis, path: str) -> PhotonState:
@@ -65,8 +74,26 @@ def embed_qubit(qubit: QubitSpec, basis, path: str) -> PhotonState:
     ])
 
 
+def _clone(amps, labels: tuple, oam_flip: bool, port: str, ancillas):
+    """Clone ``amps`` over ``labels`` on path a with ``ancillas``, (terms, weight) on b,
+    each term a (label, amplitude) pair.  Returns (the clone over the port's modes,
+    the same clone in label order, the single-port success probability)."""
+    basis = label_basis(labels, oam_flip)
+    if len(amps) != len(labels):
+        raise ConfigurationError("labels must be d distinct integers")
+    a, b = ({mode.oam: mode for mode in basis.port(path)[0].modes} for path in ("a", "b"))
+    rho, success = elements.coalesce(
+        fock.superposition_state(basis, [(a[m], c) for m, c in zip(labels, amps)]),
+        ((fock.superposition_state(basis, [(b[m], c) for m, c in terms]), w)
+         for terms, w in ancillas), port, oam_flip)
+    # the port orders OAM ascending; on b' with the flip, label m arrives as -m
+    oams = [mode.oam for mode in rho.basis.modes]
+    out = [oams.index(-m if oam_flip and port == "b_prime" else m) for m in labels]
+    return rho, rho.matrix.take(out, 0).take(out, 1), success
+
+
 def _ancilla_states(n_samples, seed):
-    """Ancilla ensemble realizing the maximally mixed state.
+    """Ancilla ensemble realizing the maximally mixed state, as ((alpha, beta), weight).
 
     Exact mode: the even {+2, -2} mixture.  Sampled mode: a half-wave plate
     at a uniformly random angle before the transferrer, i.e. real qubits
@@ -74,13 +101,13 @@ def _ancilla_states(n_samples, seed):
     time, so memory does not grow with n_samples.
     """
     if n_samples is None:
-        return [(QubitSpec(1.0, 0.0), 0.5), (QubitSpec(0.0, 1.0), 0.5)]
+        return [((1.0, 0.0), 0.5), ((0.0, 1.0), 0.5)]
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, math.pi, size=n_samples)
     w = 1.0 / n_samples
-    return ((QubitSpec(math.cos(2 * t), math.sin(2 * t)), w) for t in angles)
+    return (((math.cos(2 * t), math.sin(2 * t)), w) for t in angles)
 
 
 def _assemble(clone: np.ndarray, success: float, qubit: QubitSpec) -> CloneResult:
@@ -107,16 +134,12 @@ def run_cloner_full(qubit: QubitSpec, n_ancilla_samples: int | None = None,
     """
     if port not in ("a_prime", "b_prime"):
         raise ConfigurationError("port must be 'a_prime' or 'b_prime'")
-    basis = cloner_basis()
-    ensemble = ([(ancilla, 1.0)] if ancilla is not None
+    ensemble = ([((ancilla.alpha, ancilla.beta), 1.0)] if ancilla is not None
                 else _ancilla_states(n_ancilla_samples, seed))
-    rho, success = elements.coalesce(
-        embed_qubit(qubit, basis, "a"),
-        ((embed_qubit(chi, basis, "b"), w) for chi, w in ensemble), port)
-    # the port orders OAM ascending (-2, +2), the qubit (+2, -2); on b' the
-    # input photon arrives by reflection, and its OAM flip undoes that reorder
-    return _assemble(rho.matrix if port == "b_prime" else rho.matrix[::-1, ::-1],
-                     success, qubit)
+    labels = (OAM_PLUS, OAM_MINUS)
+    _, clone, success = _clone((qubit.alpha, qubit.beta), labels, True, port,
+                               ((zip(labels, chi), w) for chi, w in ensemble))
+    return _assemble(clone, success, qubit)
 
 
 def run_cloner_projector(qubit: QubitSpec, n_ancilla_samples: int | None = None,
@@ -128,7 +151,7 @@ def run_cloner_projector(qubit: QubitSpec, n_ancilla_samples: int | None = None,
     pairs exit in a'.
     """
     from .qudit import symmetric_subspace_clone
-    sigma = sum(w * _FLIP @ np.outer(chi.vector(), chi.vector().conj()) @ _FLIP
+    sigma = sum(w * np.outer(chi, np.conj(chi))[::-1, ::-1]  # X sigma X
                 for chi, w in _ancilla_states(n_ancilla_samples, seed))
     target = qubit.vector()
     clone, p = symmetric_subspace_clone(np.outer(target, target.conj()), sigma)
@@ -136,15 +159,14 @@ def run_cloner_projector(qubit: QubitSpec, n_ancilla_samples: int | None = None,
     return CloneResult(clone, p / 2.0, fidelity, stokes_vector(clone))
 
 
-def clone_with_preparation_infidelity(qubit: QubitSpec, f_prep: float,
-                                      runner=run_cloner_full) -> CloneResult:
+def clone_with_preparation_infidelity(qubit: QubitSpec, f_prep: float) -> CloneResult:
     """Cloner fed the imperfectly prepared input F|phi><phi| + (1-F)|perp><perp|."""
     if not 0.5 <= f_prep <= 1.0:
         raise ConfigurationError("f_prep must lie in [0.5, 1]")
-    good = runner(qubit)
+    good = run_cloner_full(qubit)
     if f_prep == 1.0:
         return good
-    bad = runner(qubit.orthogonal())
+    bad = run_cloner_full(qubit.orthogonal())
     w_good = f_prep * good.success_probability
     w_bad = (1 - f_prep) * bad.success_probability
     return _assemble((w_good * good.clone_density + w_bad * bad.clone_density)
@@ -160,7 +182,7 @@ class SweepSummary:
     std_fidelity: float
 
 
-def universality_sweep(n: int, seed: int | None = 0, f_prep: float = 1.0) -> SweepSummary:
+def universality_sweep(n: int, seed: int | None = 0) -> SweepSummary:
     """Clone the six reference states plus n Haar-random qubits."""
     if n < 1:
         raise ConfigurationError("n must be >= 1")
@@ -168,9 +190,7 @@ def universality_sweep(n: int, seed: int | None = 0, f_prep: float = 1.0) -> Swe
     qubits = {label: QubitSpec.named(label) for label in SIX_STATE_AMPLITUDES}
     for k in range(n):
         qubits[f"random_{k}"] = haar_random_qubit(rng)
-    # looked up now, not the bound default, so a wrapper on run_cloner_full sees each clone
-    fids = {label: clone_with_preparation_infidelity(q, f_prep, run_cloner_full).fidelity
-            for label, q in qubits.items()}
+    fids = {label: run_cloner_full(q).fidelity for label, q in qubits.items()}
     values = np.array(list(fids.values()))
     return SweepSummary(fids, float(values.min()), float(values.max()),
                         float(values.mean()), float(values.std()))

@@ -58,16 +58,12 @@ class LossBudget:
     qplate_efficiency: float = 0.80
     transferrer_success: float = 0.5
     fiber_coupling: tuple = (0.15, 0.25)
-    p_clon: float = 3.0 / 8.0
-    split_factor: float = 0.5
     default_coupling: float = 1.0 / 6.0
 
     def __post_init__(self):
         lo, hi = self.fiber_coupling
         for name, value in [("qplate_efficiency", self.qplate_efficiency),
                             ("transferrer_success", self.transferrer_success),
-                            ("p_clon", self.p_clon),
-                            ("split_factor", self.split_factor),
                             ("coupling low", lo), ("coupling high", hi),
                             ("default_coupling", self.default_coupling)]:
             if not 0.0 <= value <= 1.0:
@@ -87,8 +83,8 @@ class LossBudget:
         return self.qplate_efficiency * self.transferrer_success * coupling
 
     def rate(self, coupling: float) -> float:
-        return (self.source_rate_hz * self.p_prep ** 2 * self.p_clon
-                * self.p_det(coupling) ** 2 * self.split_factor)
+        return (self.source_rate_hz * self.p_prep ** 2 * (3.0 / 8.0)  # the ideal cloner's p
+                * self.p_det(coupling) ** 2 * 0.5)  # the analysis splitter
 
 
 def rate_budget(budget: LossBudget):

@@ -79,14 +79,8 @@ class ModeBasis:
         except KeyError:
             raise BasisMismatchError(f"mode {mode} not in basis") from None
 
-    def __contains__(self, mode) -> bool:
-        return mode in self._lookup
-
     def __iter__(self):
         return iter(self.modes)
-
-    def __len__(self):
-        return len(self.modes)
 
     def __eq__(self, other):
         return isinstance(other, ModeBasis) and self.modes == other.modes

@@ -31,7 +31,6 @@ class SpectralProfile:
 
     center_wavelength: float = 795e-9
     bandwidth_fwhm: float = 6e-9
-    shape: str = "gaussian"
 
     def __post_init__(self):
         for value in (self.center_wavelength, self.bandwidth_fwhm):
@@ -44,8 +43,6 @@ class SpectralProfile:
             lc = math.inf
         if not 0 < lc < math.inf:  # or it underflowed to 0
             raise ConfigurationError(f"coherence length {lc!r} m is not finite and positive")
-        if self.shape != "gaussian":
-            raise ConfigurationError(f"unsupported spectral shape {self.shape!r}")
 
 
 def coherence_length(profile: SpectralProfile) -> float:

@@ -6,28 +6,26 @@ reflection).  Passing explicit OAM labels with ``oam_flip=True`` restores
 the physical reflection bookkeeping; the label set must then be closed
 under m -> -m.
 
-The input meets each label state |b, m_k> of the ancilla, weight 1/d, in
-``elements.coalesce`` at port a'.  The clone is linear in the ancilla state, so
-this label basis gives the same clone as any other orthonormal basis of I/d
-(Werner, PRA 58, 1827 (1998)), and each branch occupies only d + 1 modes
-before the splitter.  Closed forms: F = 1/2 + 1/(d+1), both-port
-p = (d+1)/(2d).
+``qudit_clone`` runs the core of ``cloning``, whose OAM qubit is the d = 2
+case: the input meets each label state |b, m_k> of the ancilla, weight 1/d.
+The clone is linear in the ancilla state, so this label basis gives the same
+clone as any other orthonormal basis of I/d (Werner, PRA 58, 1827 (1998)),
+and each branch occupies only d + 1 modes before the splitter.  Closed
+forms: F = 1/2 + 1/(d+1), both-port p = (d+1)/(2d).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import elements, fock
-from .fock import ConfigurationError, DensityOperator, ModeIndex, build_basis
+from .cloning import _clone
+from .fock import ConfigurationError, DensityOperator
 
 # brute_force_oracle's cap, read by the benchmark checks; its pair operator is
 # d^2 x d^2, so checks at larger d call symmetric_subspace_clone directly
 MAX_ORACLE_DIM = 8
-_POL = "L"
 
 
 @dataclass
@@ -57,7 +55,7 @@ class QuditSpec:
 class QuditCloneResult:
     fidelity: float
     success_probability: float
-    clone_density: DensityOperator
+    clone_density: DensityOperator  # over the a' modes, in ascending OAM order
 
 
 def qudit_formula(d: int):
@@ -67,47 +65,17 @@ def qudit_formula(d: int):
     return 0.5 + 1.0 / (d + 1.0), (d + 1.0) / (2.0 * d)
 
 
-def _default_labels(d: int, oam_flip: bool):
-    if oam_flip:
-        # symmetric integer set closed under negation, e.g. d=4 -> -3,-1,1,3
-        return [2 * k - (d - 1) for k in range(d)]
-    return list(range(d))
-
-
-@functools.lru_cache(maxsize=32)
-def _qudit_basis(labels: tuple):
-    return build_basis(("a", "b", "a_prime", "b_prime"), labels, pols=(_POL,))
-
-
 def qudit_clone(spec: QuditSpec, labels=None, oam_flip: bool = False) -> QuditCloneResult:
-    """Run the symmetrization channel with an I_d/d ancilla.
+    """Run the symmetrization channel with the I_d/d ancilla over its label states.
 
-    The ancilla mixture is taken over the label states |b, m_k>, weight 1/d
-    each, so a branch occupies d + 1 modes before the splitter.  The input
-    and the ancilla enter on different paths, so the post-selected clone is
-    linear in the ancilla state sigma, and any orthonormal basis of
-    I_d/d = sum_k |k><k|/d gives the same clone.
-    """
+    ``labels`` defaults to 0..d-1, or with ``oam_flip`` to a set closed under negation."""
     d = spec.d
-    labels = _default_labels(d, oam_flip) if labels is None else list(labels)
-    try:  # 1.0 passes; 0.5 or "1" would name no basis mode
-        ints = [int(m) for m in labels]
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != labels or len(set(labels)) != d:
-        raise ConfigurationError("labels must be d distinct integers")
-    if oam_flip and any(-m not in labels for m in labels):
-        raise ConfigurationError("labels not closed under m -> -m; use oam_flip=False")
-    basis = _qudit_basis(tuple(labels))
-    amps = spec.amplitudes
-    psi_a = fock.superposition_state(basis, [(ModeIndex("a", _POL, labels[k]), amps[k])
-                                             for k in range(d) if abs(amps[k]) > 1e-15])
-    clone, success = elements.coalesce(  # over the a' modes
-        psi_a, ((fock.superposition_state(basis, [(ModeIndex("b", _POL, m), 1.0)]), 1.0 / d)
-                for m in labels), "a_prime", bool(oam_flip))
-    # the input over the port's sub-basis, which orders OAM ascending
-    target = psi_a.amplitudes[[basis.index(ModeIndex("a", _POL, m)) for m in sorted(labels)]]
-    fidelity = float(np.real(target.conj() @ clone.matrix @ target))
+    if labels is None:  # d = 4 with the flip: -3, -1, 1, 3
+        labels = range(1 - d, d, 2) if oam_flip else range(d)
+    labels, amps = tuple(labels), spec.amplitudes
+    clone, in_labels, success = _clone(amps, labels, bool(oam_flip), "a_prime",
+                                       (([(m, 1.0)], 1.0 / d) for m in labels))
+    fidelity = float(np.real(amps.conj() @ in_labels @ amps))
     # both BS ports contribute equally; quote the combined success probability
     return QuditCloneResult(fidelity, 2.0 * success, clone)
 

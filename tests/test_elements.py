@@ -80,7 +80,7 @@ class TestBeamSplitter:
             m = build(basis, oam_flip).matrix
             return elements.ElementOperator(basis, np.abs(m))  # i/sqrt(2) -> 1/sqrt(2)
 
-        caches = (elements.splitter, qudit._qudit_basis)
+        caches = (elements.splitter, cloning.label_basis)
         monkeypatch.setattr(elements, "beam_splitter", reflection_phase_one)
         for cache in caches:
             cache.cache_clear()
@@ -121,8 +121,8 @@ class TestCoalesce:
 
     def test_one_checked_splitter_serves_every_scenario(self):
         basis = cloning.cloner_basis()
-        assert basis == qudit._qudit_basis((-2, 2))
-        assert hash(basis) == hash(qudit._qudit_basis((-2, 2)))
+        assert basis == cloning.label_basis((-2, 2), True)
+        assert hash(basis) == hash(cloning.label_basis((-2, 2), True))
         pa, pb = (superposition_state(basis, [(ModeIndex(path, "L", 2), 1.0)])
                   for path in ("a", "b"))
         elements.splitter.cache_clear()
@@ -156,7 +156,7 @@ class TestApply:
 
     @pytest.mark.parametrize("occupied", [1, 25, 96])
     def test_at_the_gather_size_the_product_matches_the_dense_one(self, occupied):
-        basis = qudit._qudit_basis(tuple(range(24)))
+        basis = cloning.label_basis(tuple(range(24)), False)
         assert basis.size == 96 >= elements.GATHER_MIN_MODES
         bs = elements.splitter(basis, False)
         rng = np.random.default_rng(occupied)

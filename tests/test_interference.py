@@ -63,8 +63,6 @@ class TestTemporalOverlap:
         with pytest.raises(ConfigurationError):
             SpectralProfile(bandwidth_fwhm=0.0)
         with pytest.raises(ConfigurationError):
-            SpectralProfile(shape="lorentzian")
-        with pytest.raises(ConfigurationError):
             temporal_overlap(float("nan"), SpectralProfile())
 
     @pytest.mark.parametrize("wavelength, bandwidth", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oamclone import cloning, elements, fock, qubit, qudit
+from oamclone import cloning, elements, fock, qubit
 from oamclone.fock import ConfigurationError
 from oamclone.qudit import (
     QuditSpec,
@@ -89,10 +89,45 @@ class TestChannelAgreement:
         res = qudit_clone(QuditSpec(np.array([1.0, 0.0])))
         assert res.fidelity == pytest.approx(5.0 / 6.0, abs=1e-12)
         assert res.success_probability == pytest.approx(0.75, abs=1e-12)
+        # the whole clone, on the qubit's labels (+2, -2) with the reflection flip
+        rng = np.random.default_rng(45)
+        qubits = [qubit.QubitSpec.named(name) for name in qubit.SIX_STATE_AMPLITUDES]
+        for q in qubits + [qubit.haar_random_qubit(rng) for _ in range(20)]:
+            rho = qudit_clone(QuditSpec([q.alpha, q.beta]), labels=(2, -2),
+                              oam_flip=True).clone_density
+            order = [rho.basis.index(fock.ModeIndex("a_prime", "L", m)) for m in (2, -2)]
+            expected = cloning.run_cloner_full(q).clone_density
+            assert np.max(np.abs(rho.matrix[np.ix_(order, order)] - expected)) <= 1e-15
 
     def test_oracle_dimension_cap(self):
         with pytest.raises(ConfigurationError):
             brute_force_oracle(QuditSpec(np.ones(9)))
+
+
+class TestPolarizationOamQuquart:
+    """The paper's closing claim: the cloner scales to a space that combines
+    degrees of freedom, here polarization (x) OAM {-2, +2}, a ququart
+    (Nagali et al., PRL 105, 073602 (2010)).  The coalescence core runs on
+    it as it is."""
+
+    def test_ququart_clone_is_optimal_and_matches_the_oracle(self):
+        paths = ("a", "b", "a_prime", "b_prime")
+        basis = fock.build_basis(paths, (-2, 2), pols=("L", "R"))
+        levels = [(pol, m) for pol in ("L", "R") for m in (-2, 2)]
+        ancillas = [(fock.superposition_state(basis, [(fock.ModeIndex("b", pol, m), 1.0)]),
+                     0.25) for pol, m in levels]  # I/4
+        rng = np.random.default_rng(71)
+        for _ in range(50):
+            phi = random_qudit(4, rng).amplitudes
+            psi = fock.superposition_state(basis, [(fock.ModeIndex("a", pol, m), c)
+                                                   for (pol, m), c in zip(levels, phi)])
+            rho, success = elements.coalesce(psi, ancillas, "a_prime", True)
+            order = [rho.basis.index(fock.ModeIndex("a_prime", pol, m)) for pol, m in levels]
+            clone = rho.matrix[np.ix_(order, order)]
+            assert np.real(phi.conj() @ clone @ phi) == pytest.approx(0.7, abs=1e-12)
+            assert 2.0 * success == pytest.approx(5.0 / 8.0, abs=1e-12)
+            expected, _ = symmetric_subspace_clone(np.outer(phi, phi.conj()), np.eye(4) / 4)
+            assert np.max(np.abs(clone - expected)) < 1e-12
 
 
 class TestSymmetricSubspaceOracle:
@@ -155,7 +190,7 @@ class TestOamFlipMode:
                 assert res.success_probability == pytest.approx(p, abs=1e-10)
         info = elements.splitter.cache_info()
         assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
-        splitters = [elements.splitter(qudit._qudit_basis(labels), flip).matrix
+        splitters = [elements.splitter(cloning.label_basis(labels, flip), flip).matrix
                      for labels, flip in cases]
         assert not np.array_equal(splitters[1], splitters[2])  # the flip moves reflected modes
 

@@ -1,5 +1,6 @@
 """Every name a package module imports is used, unless its import says ``# noqa``,
-and no package module imports the benchmark.
+no package module imports the benchmark, and ``build_basis`` and the one
+coalescence pipeline keep their callers.
 
 Lint checks in the standard library only: the source is parsed with ``ast``,
 and an imported name counts as used when it appears as a name anywhere in
@@ -13,6 +14,12 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "oamclone"
 BENCHMARK_MODULES = {"perfbench", "spans", "workloads", "checks"}
+# function -> the (module file, function) pairs that may call it: every cloner
+# goes through the core, and the HOM overlap reads the same coalescence
+ALLOWED_CALLERS = {
+    "build_basis": {("cloning.py", "label_basis")},
+    "coalesce": {("cloning.py", "_clone"), ("interference.py", "internal_overlap")},
+}
 
 
 def unused_imports(source: str):
@@ -81,3 +88,50 @@ def test_the_benchmark_check_sees_every_import_form():
               "    import checks as c\n")
     assert benchmark_imports(source) == [(2, "perfbench.spans"), (3, "perfbench"),
                                          (5, "workloads"), (7, "spans"), (8, "checks")]
+
+
+def callers(source: str, name: str):
+    """Sorted names of the functions that call ``name`` as ``name(`` or ``x.name(``.
+
+    A call belongs to its innermost enclosing ``def``; one outside any is
+    ``<module>``.
+    """
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", sorted(ALLOWED_CALLERS))
+def test_build_basis_and_coalesce_keep_their_callers(name):
+    found = {(path.name, caller) for path in sorted(SRC.glob("*.py"))
+             for caller in callers(path.read_text(), name)}
+    assert found == ALLOWED_CALLERS[name]
+
+
+def test_the_caller_check_sees_every_call_form():
+    source = ("from . import elements\n"
+              "from .fock import build_basis\n"
+              "BASIS = build_basis(('a',))\n"
+              "def f(x):\n"
+              "    return elements.coalesce(x, [], 'a_prime')\n"
+              "class C:\n"
+              "    def g(self):\n"
+              "        h = lambda: build_basis(('b',))\n"
+              "        def inner():\n"
+              "            return coalesce(h)\n"
+              "        return build_basis\n")
+    assert callers(source, "build_basis") == ["<module>", "g"]
+    assert callers(source, "coalesce") == ["f", "inner"]
