@@ -35,7 +35,7 @@ class ConfigValidationError(Exception):
 
 # Upper bounds on the sizes a config controls, with the compute time at the
 # bound (2-core Xeon, Python 3.11, numpy 2.4):
-MAX_D = 24  # qudit d = 1..24 in 0.07-0.11 s; the time grows about as d^2
+MAX_D = 24  # qudit d = 1..24 in 0.07 s with cold caches, 0.03 s warm; grows about as d^2
 MAX_DELAY_STEPS = 100_000  # 4.3 us per delay: 0.43 s and a 5 MB CSV
 MAX_STOKES_STATES = 60  # ten passes over the six states
 MAX_STOKES_RUNS = 1_000  # 0.48 ms per run and state: 29 s for 60 states

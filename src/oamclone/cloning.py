@@ -74,18 +74,38 @@ def embed_qubit(qubit: QubitSpec, basis, path: str) -> PhotonState:
     ])
 
 
-def _clone(amps, labels: tuple, oam_flip: bool, port: str, ancillas):
-    """Clone ``amps`` over ``labels`` on path a with ``ancillas``, (terms, weight) on b,
-    each term a (label, amplitude) pair.  Returns (the clone over the port's modes,
-    the same clone in label order, the single-port success probability)."""
+@functools.lru_cache(maxsize=32)
+def label_states(labels: tuple, oam_flip: bool) -> tuple:
+    """The ancilla label states |b, m> in ``labels`` order, which serve every input
+    (the clone is linear in the ancilla); read-only, so no caller can change them."""
     basis = label_basis(labels, oam_flip)
+    b = {mode.oam: mode for mode in basis.port("b")[0].modes}
+    states = tuple(fock.superposition_state(basis, [(b[m], 1.0)]) for m in labels)
+    for psi in states:
+        psi.amplitudes.flags.writeable = False
+    return states
+
+
+def _clone(amps, labels: tuple, oam_flip: bool, port: str, ancillas=None):
+    """Clone ``amps`` over ``labels`` on path a with ``ancillas``, (terms, weight) on b,
+    each term a (label, amplitude) pair; None is I/d over the cached ``label_states``.
+    Returns (the clone over the port's modes, the same clone in label order, the
+    single-port success probability)."""
+    try:
+        basis = label_basis(labels, oam_flip)
+    except TypeError:  # a label the cache cannot hash, say a list
+        raise ConfigurationError("labels must be d distinct integers") from None
     if len(amps) != len(labels):
-        raise ConfigurationError("labels must be d distinct integers")
+        raise ConfigurationError(f"{len(amps)} amplitudes but {len(labels)} labels")
     a, b = ({mode.oam: mode for mode in basis.port(path)[0].modes} for path in ("a", "b"))
+    if ancillas is None:
+        ensemble = ((psi_b, 1.0 / len(labels)) for psi_b in label_states(labels, oam_flip))
+    else:
+        ensemble = ((fock.superposition_state(basis, [(b[m], c) for m, c in terms]), w)
+                    for terms, w in ancillas)
     rho, success = elements.coalesce(
         fock.superposition_state(basis, [(a[m], c) for m, c in zip(labels, amps)]),
-        ((fock.superposition_state(basis, [(b[m], c) for m, c in terms]), w)
-         for terms, w in ancillas), port, oam_flip)
+        ensemble, port, oam_flip)
     # the port orders OAM ascending; on b' with the flip, label m arrives as -m
     oams = [mode.oam for mode in rho.basis.modes]
     out = [oams.index(-m if oam_flip and port == "b_prime" else m) for m in labels]

@@ -25,8 +25,9 @@ from .fock import (BasisMismatchError, ConfigurationError, DensityOperator, Mode
                    ModeIndex, PhotonState, TwoPhotonState)
 
 UNITARY_ATOL = 1e-10
-# best of 7 x 500, dense vs gathered (us), qudit branch on d + 1 modes: n = 24
-# 9.9 vs 14.5, n = 32 15.9 vs 15.6-17.4, n = 48 46.8 vs 23.0, n = 96 196 vs 93
+# best of 7 x 500, dense vs gathered (us), qudit branch on d + 1 modes, two runs:
+# n = 24 9.0-13.5 vs 12.8-14.2, n = 32 14.1-14.6 vs 15.3-15.8, n = 40 23 vs 19,
+# n = 48 42-44 vs 21-22, n = 96 165-190 vs 71-78: the crossover is at 32 to 40
 GATHER_MIN_MODES = 32
 
 

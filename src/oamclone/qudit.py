@@ -10,6 +10,7 @@ under m -> -m.
 case: the input meets each label state |b, m_k> of the ancilla, weight 1/d.
 The clone is linear in the ancilla state, so this label basis gives the same
 clone as any other orthonormal basis of I/d (Werner, PRA 58, 1827 (1998)),
+the label states are built once per label set (``cloning.label_states``),
 and each branch occupies only d + 1 modes before the splitter.  Closed
 forms: F = 1/2 + 1/(d+1), both-port p = (d+1)/(2d).
 """
@@ -73,8 +74,7 @@ def qudit_clone(spec: QuditSpec, labels=None, oam_flip: bool = False) -> QuditCl
     if labels is None:  # d = 4 with the flip: -3, -1, 1, 3
         labels = range(1 - d, d, 2) if oam_flip else range(d)
     labels, amps = tuple(labels), spec.amplitudes
-    clone, in_labels, success = _clone(amps, labels, bool(oam_flip), "a_prime",
-                                       (([(m, 1.0)], 1.0 / d) for m in labels))
+    clone, in_labels, success = _clone(amps, labels, bool(oam_flip), "a_prime")
     fidelity = float(np.real(amps.conj() @ in_labels @ amps))
     # both BS ports contribute equally; quote the combined success probability
     return QuditCloneResult(fidelity, 2.0 * success, clone)

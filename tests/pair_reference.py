@@ -1,8 +1,8 @@
 """Test-only references over the Fock pair kets |1_i 1_j> (i < j) and |2_i>.
 
-They read a two-photon state only through ``TwoPhotonState.amplitude``, so
-they check the package's symmetric coefficient matrix S without sharing
-its kernels.  ``internal_overlap_direct`` checks the beam-splitter route of
+They read a two-photon state only through ``pair_amplitude``, so they
+check the package's symmetric coefficient matrix S without sharing its
+kernels.  ``internal_overlap_direct`` checks the beam-splitter route of
 ``interference.internal_overlap`` with the one-photon overlap formula.
 """
 
@@ -14,6 +14,18 @@ from oamclone.fock import (BasisMismatchError, DensityOperator, InvalidStateErro
                            PhotonState, TwoPhotonState)
 
 
+def photon_amplitude(state: PhotonState, mode) -> complex:
+    """Amplitude of one mode in a one-photon state."""
+    return complex(state.amplitudes[state.basis.index(mode)])
+
+
+def pair_amplitude(state: TwoPhotonState, mode_i, mode_j) -> complex:
+    """Amplitude of the Fock ket |1_i 1_j> (2 S_ij), or of |2_i> (sqrt(2) S_ii)."""
+    i, j = state.basis.index(mode_i), state.basis.index(mode_j)
+    s = complex(state.amplitudes[i, j])
+    return math.sqrt(2.0) * s if i == j else 2.0 * s
+
+
 def pair_keys(basis):
     """Canonical enumeration of unordered index pairs (i <= j)."""
     n = basis.size
@@ -21,9 +33,9 @@ def pair_keys(basis):
 
 
 def pair_amplitudes(state):
-    """``{(i, j): Fock-ket amplitude}`` over every pair key, read through ``amplitude``."""
+    """``{(i, j): Fock-ket amplitude}`` over every pair key, read through ``pair_amplitude``."""
     modes = state.basis.modes
-    return {(i, j): state.amplitude(modes[i], modes[j]) for i, j in pair_keys(state.basis)}
+    return {(i, j): pair_amplitude(state, modes[i], modes[j]) for i, j in pair_keys(state.basis)}
 
 
 def state_from_kets(basis, kets):

@@ -169,10 +169,14 @@ class TestOamFlipMode:
         with pytest.raises(ConfigurationError):
             qudit_clone(QuditSpec(np.ones(2)), labels=(1, 1))
 
-    @pytest.mark.parametrize("labels", [(0.5, 1.5), (0.4, 0.6), ("1", "2")])
+    @pytest.mark.parametrize("labels", [(0.5, 1.5), (0.4, 0.6), ("1", "2"), ([1], [2])])
     def test_non_integer_labels_rejected(self, labels):
         with pytest.raises(ConfigurationError, match="distinct integers"):
             qudit_clone(QuditSpec(np.ones(2)), labels=labels)
+
+    def test_label_count_mismatch_names_both_counts(self):
+        with pytest.raises(ConfigurationError, match="2 amplitudes but 3 labels"):
+            qudit_clone(QuditSpec(np.ones(2)), labels=(0, 1, 2))
 
     def test_integer_valued_float_labels_accepted(self):
         res = qudit_clone(QuditSpec(np.array([0.6, 0.8j])), labels=(1.0, 2.0))
@@ -193,6 +197,43 @@ class TestOamFlipMode:
         splitters = [elements.splitter(cloning.label_basis(labels, flip), flip).matrix
                      for labels, flip in cases]
         assert not np.array_equal(splitters[1], splitters[2])  # the flip moves reflected modes
+
+
+class TestLabelStates:
+    CASES = [((0, 1, 2, 3), False), ((-3, -1, 1, 3), True)]
+
+    @pytest.mark.parametrize("labels,flip", CASES)
+    def test_cached_states_equal_fresh_ones(self, labels, flip):
+        basis = cloning.label_basis(labels, flip)
+        states = cloning.label_states(labels, flip)
+        assert states is cloning.label_states(labels, flip)
+        for m, psi in zip(labels, states):
+            fresh = fock.superposition_state(basis, [(fock.ModeIndex("b", "L", m), 1.0)])
+            assert psi.basis == basis
+            assert np.array_equal(psi.amplitudes, fresh.amplitudes)
+
+    @pytest.mark.parametrize("labels,flip", CASES)
+    def test_cached_amplitudes_are_read_only(self, labels, flip):
+        psi = cloning.label_states(labels, flip)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            psi.amplitudes[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            psi.amplitudes *= 2.0
+        assert np.count_nonzero(psi.amplitudes) == 1
+
+    def test_a_warm_call_builds_only_the_input(self, monkeypatch):
+        labels, spec = (0, 1, 2), random_qudit(3, np.random.default_rng(5))
+        first = qudit_clone(spec, labels=labels)
+        build, built = fock.superposition_state, []
+
+        def counting(basis, terms):
+            built.append(terms)
+            return build(basis, terms)
+
+        monkeypatch.setattr(fock, "superposition_state", counting)
+        again = qudit_clone(spec, labels=labels)
+        assert len(built) == 1
+        assert np.array_equal(again.clone_density.matrix, first.clone_density.matrix)
 
 
 def test_spec_validation():
