@@ -9,7 +9,8 @@ carries the clone.  The OAM qubit on {+2, -2} is the d = 2 case: fidelity
 Two independent routes compute the qubit channel: ``run_cloner_full`` evolves
 the two-photon state through the beam-splitter unitary, ``run_cloner_projector``
 projects the input (x) ancilla pair on the symmetric subspace (numpy only).
-Each clone is checked in closed form: unit trace, Hermiticity, det >= 0.
+The core checks every clone, for every d, with ``DensityOperator.validate`` and
+scores it once: the fidelity <phi|C|phi> in label order.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elements, fock
-from .fock import (HERM_ATOL, NORM_ATOL, PSD_ATOL, ConfigurationError, InvalidStateError,
-                   ModeBasis, ModeIndex, PhotonState, build_basis)
+from .fock import ConfigurationError, ModeBasis, ModeIndex, PhotonState, build_basis
 from .qubit import (PAULI, SIX_STATE_AMPLITUDES, QubitSpec,  # noqa: F401
                     haar_random_qubit, stokes_vector)
 
@@ -50,21 +50,20 @@ class CloneResult:
 
 
 @functools.lru_cache(maxsize=32)
-def label_basis(labels: tuple, oam_flip: bool) -> ModeBasis:
-    """The four-path basis over the OAM ``labels``, which are checked once per cache entry."""
+def label_basis(labels: tuple) -> ModeBasis:
+    """The four-path basis over the OAM ``labels``, which are checked once per cache entry
+    (closure under m -> -m, where the reflection flips OAM, is ``beam_splitter``'s check)."""
     try:  # 1.0 passes; 0.5 or "1" would name no basis mode
         ints = [int(m) for m in labels]
     except (TypeError, ValueError, OverflowError):
         ints = None
     if ints != list(labels) or len(set(ints)) != len(ints):
         raise ConfigurationError("labels must be d distinct integers")
-    if oam_flip and any(-m not in ints for m in ints):
-        raise ConfigurationError("labels not closed under m -> -m; use oam_flip=False")
     return build_basis(("a", "b", "a_prime", "b_prime"), ints, pols=(_POL,))
 
 
 def cloner_basis() -> ModeBasis:
-    return label_basis((OAM_PLUS, OAM_MINUS), True)
+    return label_basis((OAM_PLUS, OAM_MINUS))
 
 
 def embed_qubit(qubit: QubitSpec, basis, path: str) -> PhotonState:
@@ -75,10 +74,10 @@ def embed_qubit(qubit: QubitSpec, basis, path: str) -> PhotonState:
 
 
 @functools.lru_cache(maxsize=32)
-def label_states(labels: tuple, oam_flip: bool) -> tuple:
+def label_states(labels: tuple) -> tuple:
     """The ancilla label states |b, m> in ``labels`` order, which serve every input
     (the clone is linear in the ancilla); read-only, so no caller can change them."""
-    basis = label_basis(labels, oam_flip)
+    basis = label_basis(labels)
     b = {mode.oam: mode for mode in basis.port("b")[0].modes}
     states = tuple(fock.superposition_state(basis, [(b[m], 1.0)]) for m in labels)
     for psi in states:
@@ -89,58 +88,45 @@ def label_states(labels: tuple, oam_flip: bool) -> tuple:
 def _clone(amps, labels: tuple, oam_flip: bool, port: str, ancillas=None):
     """Clone ``amps`` over ``labels`` on path a with ``ancillas``, (terms, weight) on b,
     each term a (label, amplitude) pair; None is I/d over the cached ``label_states``.
-    Returns (the clone over the port's modes, the same clone in label order, the
-    single-port success probability)."""
+    Every clone is checked (``DensityOperator.validate``).  Returns (the clone over the
+    port's modes, the same clone in label order, the single-port success probability,
+    the fidelity Re <amps|clone|amps>)."""
     try:
-        basis = label_basis(labels, oam_flip)
+        basis = label_basis(labels)
     except TypeError:  # a label the cache cannot hash, say a list
         raise ConfigurationError("labels must be d distinct integers") from None
     if len(amps) != len(labels):
         raise ConfigurationError(f"{len(amps)} amplitudes but {len(labels)} labels")
     a, b = ({mode.oam: mode for mode in basis.port(path)[0].modes} for path in ("a", "b"))
     if ancillas is None:
-        ensemble = ((psi_b, 1.0 / len(labels)) for psi_b in label_states(labels, oam_flip))
+        ensemble = ((psi_b, 1.0 / len(labels)) for psi_b in label_states(labels))
     else:
         ensemble = ((fock.superposition_state(basis, [(b[m], c) for m, c in terms]), w)
                     for terms, w in ancillas)
     rho, success = elements.coalesce(
         fock.superposition_state(basis, [(a[m], c) for m, c in zip(labels, amps)]),
         ensemble, port, oam_flip)
+    rho.validate()
     # the port orders OAM ascending; on b' with the flip, label m arrives as -m
     oams = [mode.oam for mode in rho.basis.modes]
     out = [oams.index(-m if oam_flip and port == "b_prime" else m) for m in labels]
-    return rho, rho.matrix.take(out, 0).take(out, 1), success
+    clone = rho.matrix.take(out, 0).take(out, 1)
+    amps = np.asarray(amps, dtype=complex)
+    return rho, clone, success, float(np.real(amps.conj() @ clone @ amps))
 
 
 def _ancilla_states(n_samples, seed):
-    """Ancilla ensemble realizing the maximally mixed state, as ((alpha, beta), weight).
-
-    Exact mode: the even {+2, -2} mixture.  Sampled mode: a half-wave plate
-    at a uniformly random angle before the transferrer, i.e. real qubits
-    (cos 2t, sin 2t) with t uniform, which average to I/2; yielded one at a
-    time, so memory does not grow with n_samples.
+    """Sampled ancilla ensemble realizing I/2, as ((alpha, beta), weight): a half-wave
+    plate at a uniformly random angle before the transferrer, i.e. real qubits
+    (cos 2t, sin 2t) with t uniform; yielded one at a time, so memory does not grow
+    with n_samples.  The exact I/2 is the core's default ancilla.
     """
-    if n_samples is None:
-        return [((1.0, 0.0), 0.5), ((0.0, 1.0), 0.5)]
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, math.pi, size=n_samples)
     w = 1.0 / n_samples
     return (((math.cos(2 * t), math.sin(2 * t)), w) for t in angles)
-
-
-def _assemble(clone: np.ndarray, success: float, qubit: QubitSpec) -> CloneResult:
-    """Check the 2x2 clone (Hermitian with unit trace: PSD iff det >= 0) and score it."""
-    (c00, c01), (c10, c11) = clone.tolist()
-    trace_err, herm_err = abs(c00 + c11 - 1.0), abs(c01 - c10.conjugate())
-    det = (c00 * c11 - c01 * c10).real
-    if trace_err > NORM_ATOL or herm_err > HERM_ATOL or det < -PSD_ATOL:
-        raise InvalidStateError(f"clone is not a density matrix: |tr - 1| = {trace_err:.2e}, "
-                                f"Hermiticity residual {herm_err:.2e}, det {det:.2e}")
-    target = qubit.vector()
-    fidelity = float(np.real(target.conj() @ clone @ target))
-    return CloneResult(clone, float(success), fidelity, stokes_vector(clone))
 
 
 def run_cloner_full(qubit: QubitSpec, n_ancilla_samples: int | None = None,
@@ -154,12 +140,13 @@ def run_cloner_full(qubit: QubitSpec, n_ancilla_samples: int | None = None,
     """
     if port not in ("a_prime", "b_prime"):
         raise ConfigurationError("port must be 'a_prime' or 'b_prime'")
-    ensemble = ([((ancilla.alpha, ancilla.beta), 1.0)] if ancilla is not None
-                else _ancilla_states(n_ancilla_samples, seed))
-    labels = (OAM_PLUS, OAM_MINUS)
-    _, clone, success = _clone((qubit.alpha, qubit.beta), labels, True, port,
-                               ((zip(labels, chi), w) for chi, w in ensemble))
-    return _assemble(clone, success, qubit)
+    labels, ancillas = (OAM_PLUS, OAM_MINUS), None  # None: the core's exact I/2
+    if ancilla is not None:
+        ancillas = [(zip(labels, (ancilla.alpha, ancilla.beta)), 1.0)]
+    elif n_ancilla_samples is not None:
+        ancillas = ((zip(labels, chi), w) for chi, w in _ancilla_states(n_ancilla_samples, seed))
+    _, clone, success, fidelity = _clone((qubit.alpha, qubit.beta), labels, True, port, ancillas)
+    return CloneResult(clone, float(success), fidelity, stokes_vector(clone))
 
 
 def run_cloner_projector(qubit: QubitSpec, n_ancilla_samples: int | None = None,
@@ -171,8 +158,9 @@ def run_cloner_projector(qubit: QubitSpec, n_ancilla_samples: int | None = None,
     pairs exit in a'.
     """
     from .qudit import symmetric_subspace_clone
-    sigma = sum(w * np.outer(chi, np.conj(chi))[::-1, ::-1]  # X sigma X
-                for chi, w in _ancilla_states(n_ancilla_samples, seed))
+    sigma = np.eye(2) / 2 if n_ancilla_samples is None else sum(
+        w * np.outer(chi, np.conj(chi))[::-1, ::-1]  # X sigma X
+        for chi, w in _ancilla_states(n_ancilla_samples, seed))
     target = qubit.vector()
     clone, p = symmetric_subspace_clone(np.outer(target, target.conj()), sigma)
     fidelity = float(np.real(target.conj() @ clone @ target))
@@ -189,8 +177,11 @@ def clone_with_preparation_infidelity(qubit: QubitSpec, f_prep: float) -> CloneR
     bad = run_cloner_full(qubit.orthogonal())
     w_good = f_prep * good.success_probability
     w_bad = (1 - f_prep) * bad.success_probability
-    return _assemble((w_good * good.clone_density + w_bad * bad.clone_density)
-                     / (w_good + w_bad), w_good + w_bad, qubit)
+    # a mix of two checked clones: scored here, not checked again
+    clone = (w_good * good.clone_density + w_bad * bad.clone_density) / (w_good + w_bad)
+    target = qubit.vector()
+    fidelity = float(np.real(target.conj() @ clone @ target))
+    return CloneResult(clone, w_good + w_bad, fidelity, stokes_vector(clone))
 
 
 @dataclass

@@ -25,10 +25,10 @@ from .fock import (BasisMismatchError, ConfigurationError, DensityOperator, Mode
                    ModeIndex, PhotonState, TwoPhotonState)
 
 UNITARY_ATOL = 1e-10
-# best of 7 x 500, dense vs gathered (us), qudit branch on d + 1 modes, two runs:
-# n = 24 9.0-13.5 vs 12.8-14.2, n = 32 14.1-14.6 vs 15.3-15.8, n = 40 23 vs 19,
-# n = 48 42-44 vs 21-22, n = 96 165-190 vs 71-78: the crossover is at 32 to 40
-GATHER_MIN_MODES = 32
+# best of 7 x 500, dense vs gathered (us), qudit branch on d + 1 modes, eight runs
+# (the lowest of each shown): n = 32 16.0 vs 17.5, dense faster in 8 of 8; n = 36
+# 19.5 vs 18.6, gathered faster in 8 of 8; n = 40 23.2 vs 19.6; n = 48 45 vs 24
+GATHER_MIN_MODES = 36
 
 
 @dataclass
@@ -83,7 +83,7 @@ def beam_splitter(basis: ModeBasis, oam_flip: bool = True) -> ElementOperator:
     if not needed <= basis.paths:
         raise ConfigurationError("beam splitter needs paths a, b, a_prime, b_prime")
     if oam_flip and any(-m not in basis.oam_set for m in basis.oam_set):
-        raise ConfigurationError("OAM truncation set not closed under m -> -m")
+        raise ConfigurationError("OAM set not closed under m -> -m; use oam_flip=False")
 
     def flip(m):
         return -m if oam_flip else m
@@ -127,4 +127,4 @@ def coalesce(psi_a: PhotonState, ancillas, port: str, oam_flip: bool = True):
         kept, prob = fock.project_keys(apply(bs, fock.symmetrize_product(psi_a, psi_b)), port)
         acc = acc + (w * prob) * fock.reduced_single_pure(kept).matrix
         success += w * prob
-    return DensityOperator(kept.basis, "single", acc / success), success
+    return DensityOperator(kept.basis, acc / success), success

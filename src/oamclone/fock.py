@@ -201,29 +201,24 @@ def project_keys(state: TwoPhotonState, path: str) -> tuple:
 
 @dataclass
 class DensityOperator:
-    """Hermitian PSD operator, over a single-photon basis or a two-photon pair basis.
-
-    The matrix is kept at unit trace.
-    """
+    """Hermitian PSD operator of unit trace over a basis's modes (or its pair kets)."""
 
     basis: ModeBasis
-    kind: str  # "single" | "pair"
     matrix: np.ndarray
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.kind not in ("single", "pair"):
-            raise ConfigurationError(f"unknown density kind {self.kind!r}")
 
     def validate(self):
+        """The package's one density check: |tr - 1| <= NORM_ATOL, max |m - m^dag| <=
+        HERM_ATOL (explicit, as eigvalsh reads one triangle), min eigenvalue >= -PSD_ATOL."""
         m = self.matrix
-        if not np.allclose(m, m.conj().T, atol=HERM_ATOL):
-            raise InvalidStateError("density matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -PSD_ATOL:
-            raise InvalidStateError(f"density matrix not PSD (min eig {eigs.min():.2e})")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise InvalidStateError(f"trace {np.trace(m).real} != 1")
+        trace_err = abs(m.trace() - 1.0)
+        herm_err = float(np.abs(m - m.conj().T).max())
+        min_eig = float(np.linalg.eigvalsh(m)[0])
+        if not (trace_err <= NORM_ATOL and herm_err <= HERM_ATOL and min_eig >= -PSD_ATOL):
+            raise InvalidStateError(f"not a density matrix: |tr - 1| = {trace_err:.2e}, "
+                                    f"Hermiticity residual {herm_err:.2e}, min eig {min_eig:.2e}")
         return self
 
 
@@ -236,7 +231,7 @@ def pure_density(state: PhotonState) -> DensityOperator:
     if n < 1e-15:
         raise InvalidStateError("cannot form density of a zero state")
     v = v / n
-    return DensityOperator(state.basis, "single", np.outer(v, v.conj()))
+    return DensityOperator(state.basis, np.outer(v, v.conj()))
 
 
 def mix(states) -> DensityOperator:
@@ -250,13 +245,13 @@ def mix(states) -> DensityOperator:
     for rho, w in states:
         if w < -NORM_ATOL:
             raise ConfigurationError(f"negative mixture weight {w}")
-        if rho.basis != first.basis or rho.kind != first.kind:
+        if rho.basis != first.basis:
             raise BasisMismatchError("mixture over mismatched bases")
         acc = acc + w * rho.matrix
         total += w
     if abs(total - 1.0) > NORM_ATOL:
         raise ConfigurationError(f"mixture weights sum to {total}, expected 1")
-    return DensityOperator(first.basis, first.kind, acc)
+    return DensityOperator(first.basis, acc)
 
 
 def reduced_single_pure(state: TwoPhotonState) -> DensityOperator:
@@ -269,4 +264,4 @@ def reduced_single_pure(state: TwoPhotonState) -> DensityOperator:
     tr = float(np.trace(rho).real)
     if tr < 1e-30:
         raise InvalidStateError("zero two-photon state")
-    return DensityOperator(state.basis, "single", rho * (1.0 / tr))
+    return DensityOperator(state.basis, rho * (1.0 / tr))

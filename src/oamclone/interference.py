@@ -15,7 +15,7 @@ enhancement ratio R = 1 + mu does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,16 +89,9 @@ def internal_overlap(psi_a: PhotonState, psi_b: PhotonState) -> float:
 def coincidence_expectation(psi_a: PhotonState, psi_b: PhotonState,
                             delay: float, profile: SpectralProfile,
                             baseline: float = 1.0) -> float:
-    """Expected relative rate of both-photons-in-a' events at a given delay.
-
-    C(delay) = baseline * (1 + v(delay)^2 * mu), with the fully
-    distinguishable rate as the baseline.
-    """
-    if not (math.isfinite(baseline) and baseline > 0):
-        raise ConfigurationError("baseline must be finite and positive")
-    mu = internal_overlap(psi_a, psi_b)
-    v = temporal_overlap(delay, profile)
-    return baseline * (1.0 + v * v * mu)
+    """Expected relative rate of both-photons-in-a' events at a given delay,
+    ``hom_curve`` at one point."""
+    return float(hom_curve(psi_a, psi_b, [delay], profile, baseline).coincidences[0])
 
 
 @dataclass
@@ -109,12 +102,15 @@ class DelayScan:
     coincidences: np.ndarray
     enhancements: np.ndarray
     ratio: float
-    profile: SpectralProfile = field(repr=False, default=None)
 
 
 def hom_curve(psi_a: PhotonState, psi_b: PhotonState, delays,
               profile: SpectralProfile, baseline: float = 1.0) -> DelayScan:
-    """Coincidence curve over a delay scan plus R = C(0) / C(infinity)."""
+    """Coincidence curve over a delay scan plus R = C(0) / C(infinity).
+
+    C(delay) = baseline * (1 + v(delay)^2 * mu), with the fully
+    distinguishable rate as the baseline.
+    """
     delays = np.asarray(list(delays), dtype=float)
     if delays.size == 0:
         raise ConfigurationError("empty delay scan")
@@ -123,4 +119,4 @@ def hom_curve(psi_a: PhotonState, psi_b: PhotonState, delays,
         raise ConfigurationError("baseline must be finite and positive")
     mu = internal_overlap(psi_a, psi_b)
     coincidences = baseline * (1.0 + v * v * mu)
-    return DelayScan(delays, coincidences, coincidences / baseline, 1.0 + mu, profile)
+    return DelayScan(delays, coincidences, coincidences / baseline, 1.0 + mu)

@@ -73,9 +73,8 @@ def qudit_clone(spec: QuditSpec, labels=None, oam_flip: bool = False) -> QuditCl
     d = spec.d
     if labels is None:  # d = 4 with the flip: -3, -1, 1, 3
         labels = range(1 - d, d, 2) if oam_flip else range(d)
-    labels, amps = tuple(labels), spec.amplitudes
-    clone, in_labels, success = _clone(amps, labels, bool(oam_flip), "a_prime")
-    fidelity = float(np.real(amps.conj() @ in_labels @ amps))
+    clone, _, success, fidelity = _clone(spec.amplitudes, tuple(labels), bool(oam_flip),
+                                         "a_prime")
     # both BS ports contribute equally; quote the combined success probability
     return QuditCloneResult(fidelity, 2.0 * success, clone)
 

@@ -53,7 +53,7 @@ def pair_density(state):
     if n < 1e-15:
         raise InvalidStateError("cannot form density of a zero state")
     v = v / n
-    return DensityOperator(state.basis, "pair", np.outer(v, v.conj()))
+    return DensityOperator(state.basis, np.outer(v, v.conj()))
 
 
 def pair_key_coefficient_matrices(basis):
@@ -76,13 +76,14 @@ def pair_key_coefficient_matrices(basis):
 
 def partial_trace_to_single(rho2):
     """Trace out one photon of a bosonic pair density operator."""
-    if rho2.kind != "pair":
+    n_keys = len(pair_keys(rho2.basis))
+    if rho2.matrix.shape != (n_keys, n_keys):  # a pair density is over the pair kets
         raise BasisMismatchError("partial trace expects a two-photon density")
     a = pair_key_coefficient_matrices(rho2.basis)
     # rho1 = sum_KL M_KL A^K (A^L)^dagger
     t = np.einsum("KL,Lqr->Kqr", rho2.matrix, a.conj())
     rho1 = np.einsum("Kpr,Kqr->pq", a, t)
-    return DensityOperator(rho2.basis, "single", rho1)
+    return DensityOperator(rho2.basis, rho1)
 
 
 def internal_overlap_direct(psi_a: PhotonState, psi_b: PhotonState) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oamclone import cloning, elements
+from oamclone import cloning, elements, qudit
 from oamclone.cloning import (
     QubitSpec,
     clone_with_preparation_infidelity,
@@ -132,16 +132,25 @@ class TestOptimalCloning:
         [[1.2, 0.0], [0.0, -0.2]],  # trace 1 and Hermitian, but det < 0
         [[0.5, 0.1], [0.0, 0.5]],  # not Hermitian
         [[0.6, 0.0], [0.0, 0.5]],  # trace 1.1
+        [[0.6, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, -0.2]],  # d = 3, an eigenvalue < 0
     ])
     def test_clone_that_is_not_a_density_matrix_is_rejected(self, monkeypatch, bad):
-        port_basis = cloning.cloner_basis().port("a_prime")[0]
-
         def broken_coalesce(psi_a, ancillas, port, oam_flip=True):
-            return DensityOperator(port_basis, "single", np.array(bad)), 0.375
+            return DensityOperator(psi_a.basis.port(port)[0], np.array(bad)), 0.375
 
         monkeypatch.setattr(elements, "coalesce", broken_coalesce)
+        if len(bad) == 2:
+            with pytest.raises(InvalidStateError, match="not a density matrix"):
+                run_cloner_full(QubitSpec.named("h"))
         with pytest.raises(InvalidStateError, match="not a density matrix"):
-            run_cloner_full(QubitSpec.named("h"))
+            qudit.qudit_clone(qudit.QuditSpec(np.ones(len(bad))))
+
+    def test_one_cached_ancilla_serves_every_exact_qubit_run(self):
+        cloning.label_states.cache_clear()
+        run_cloner_full(QubitSpec.named("h"))
+        run_cloner_full(QubitSpec.named("v"))
+        info = cloning.label_states.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestUniversality:

@@ -123,8 +123,8 @@ class TestCoalesce:
 
     def test_one_checked_splitter_serves_every_scenario(self):
         basis = cloning.cloner_basis()
-        assert basis == cloning.label_basis((-2, 2), True)
-        assert hash(basis) == hash(cloning.label_basis((-2, 2), True))
+        assert basis == cloning.label_basis((-2, 2))
+        assert hash(basis) == hash(cloning.label_basis((-2, 2)))
         pa, pb = (superposition_state(basis, [(ModeIndex(path, "L", 2), 1.0)])
                   for path in ("a", "b"))
         elements.splitter.cache_clear()
@@ -158,7 +158,7 @@ class TestApply:
 
     @pytest.mark.parametrize("occupied", [1, 25, 96])
     def test_at_the_gather_size_the_product_matches_the_dense_one(self, occupied):
-        basis = cloning.label_basis(tuple(range(24)), False)
+        basis = cloning.label_basis(tuple(range(24)))
         assert basis.size == 96 >= elements.GATHER_MIN_MODES
         bs = elements.splitter(basis, False)
         rng = np.random.default_rng(occupied)

@@ -432,6 +432,8 @@ class TestPartialTrace:
 
 def test_density_validation():
     basis = build_basis(("a",), (0,))
-    bad = fock.DensityOperator(basis, "single", np.array([[0.5, 1.0], [0.0, 0.5]]))
-    with pytest.raises(InvalidStateError):
-        bad.validate()
+    for bad in ([[0.5, 1.0], [0.0, 0.5]],
+                [[0.5 + 1e-11, 0.0], [0.0, 0.5]],  # trace 1 + 1e-11
+                [[0.5, 0.5 + 1e-9], [0.5, 0.5]]):  # Hermiticity residual 1e-9 on a 0.5 entry
+        with pytest.raises(InvalidStateError, match="not a density matrix"):
+            fock.DensityOperator(basis, np.array(bad)).validate()

@@ -162,7 +162,7 @@ class TestOamFlipMode:
         assert res.fidelity == pytest.approx(5.0 / 6.0, abs=1e-10)
 
     def test_asymmetric_labels_rejected_with_flip(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="oam_flip=False"):
             qudit_clone(QuditSpec(np.ones(2)), labels=(0, 1), oam_flip=True)
 
     def test_duplicate_labels_rejected(self):
@@ -194,7 +194,7 @@ class TestOamFlipMode:
                 assert res.success_probability == pytest.approx(p, abs=1e-10)
         info = elements.splitter.cache_info()
         assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
-        splitters = [elements.splitter(cloning.label_basis(labels, flip), flip).matrix
+        splitters = [elements.splitter(cloning.label_basis(labels), flip).matrix
                      for labels, flip in cases]
         assert not np.array_equal(splitters[1], splitters[2])  # the flip moves reflected modes
 
@@ -204,9 +204,10 @@ class TestLabelStates:
 
     @pytest.mark.parametrize("labels,flip", CASES)
     def test_cached_states_equal_fresh_ones(self, labels, flip):
-        basis = cloning.label_basis(labels, flip)
-        states = cloning.label_states(labels, flip)
-        assert states is cloning.label_states(labels, flip)
+        basis = cloning.label_basis(labels)
+        states = cloning.label_states(labels)
+        qudit_clone(QuditSpec(np.ones(len(labels))), labels=labels, oam_flip=flip)
+        assert states is cloning.label_states(labels)  # one entry serves either flip
         for m, psi in zip(labels, states):
             fresh = fock.superposition_state(basis, [(fock.ModeIndex("b", "L", m), 1.0)])
             assert psi.basis == basis
@@ -214,7 +215,7 @@ class TestLabelStates:
 
     @pytest.mark.parametrize("labels,flip", CASES)
     def test_cached_amplitudes_are_read_only(self, labels, flip):
-        psi = cloning.label_states(labels, flip)[0]
+        psi = cloning.label_states(labels)[0]
         with pytest.raises(ValueError, match="read-only"):
             psi.amplitudes[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
