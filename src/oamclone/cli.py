@@ -208,7 +208,7 @@ def run_hom(config):
         "peak_coincidence": float(scan.coincidences.max()),
     }
     return (["delay_um", "expected_coincidences", "enhancement"],
-            list(zip(delays_um, scan.coincidences, scan.enhancements)), results,
+            list(zip(delays_um, scan.coincidences, scan.coincidences)), results,
             _plot("line_plot", delays_um, scan.coincidences,
                   f"HOM coincidences ({cfg['state_a']}, {cfg['state_b']})",
                   "delay (um)", "relative coincidences"))

@@ -1,9 +1,9 @@
 """The 1 -> 2 symmetrization cloner, one core for every dimension d.
 
-The input photon enters path a over integer OAM labels, each state of the
-I/d ancilla mixture enters path b, and the runs where both photons leave the
-balanced beam splitter by one port are kept (``elements.coalesce``): each
-carries the clone.  The OAM qubit on {+2, -2} is the d = 2 case: fidelity
+The input photon enters path a over the d OAM labels ``oam_labels(d)``, each
+state of the I/d ancilla mixture enters path b, and the runs where both photons
+leave the balanced beam splitter by one port are kept (``elements.coalesce``):
+each carries the clone.  The OAM qubit on {+2, -2} is the d = 2 case: fidelity
 5/6, single-port success probability 3/8, Bloch vector shrunk to 2/3.
 
 Two independent routes compute the qubit channel: ``run_cloner_full`` evolves
@@ -23,8 +23,7 @@ import numpy as np
 
 from . import elements, fock
 from .fock import ConfigurationError, ModeBasis, ModeIndex, PhotonState, build_basis
-from .qubit import (PAULI, SIX_STATE_AMPLITUDES, QubitSpec,  # noqa: F401
-                    haar_random_qubit, stokes_vector)
+from .qubit import SIX_STATE_AMPLITUDES, QubitSpec, haar_random_qubit, stokes_vector
 
 OAM_PLUS = 2
 OAM_MINUS = -2
@@ -49,21 +48,20 @@ class CloneResult:
         }
 
 
+def oam_labels(d: int) -> tuple:
+    """The cloner's d OAM labels 2(d-1), 2(d-3), ..., -2(d-1): closed under the
+    reflection's m -> -m, and the qubit's (+2, -2) at d = 2."""
+    return tuple(range(2 * (d - 1), -2 * d, -4))
+
+
 @functools.lru_cache(maxsize=32)
-def label_basis(labels: tuple) -> ModeBasis:
-    """The four-path basis over the OAM ``labels``, which are checked once per cache entry
-    (closure under m -> -m, where the reflection flips OAM, is ``beam_splitter``'s check)."""
-    try:  # 1.0 passes; 0.5 or "1" would name no basis mode
-        ints = [int(m) for m in labels]
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != list(labels) or len(set(ints)) != len(ints):
-        raise ConfigurationError("labels must be d distinct integers")
-    return build_basis(("a", "b", "a_prime", "b_prime"), ints, pols=(_POL,))
+def label_basis(d: int) -> ModeBasis:
+    """The four-path basis over ``oam_labels(d)``, built once per d."""
+    return build_basis(("a", "b", "a_prime", "b_prime"), oam_labels(d), pols=(_POL,))
 
 
 def cloner_basis() -> ModeBasis:
-    return label_basis((OAM_PLUS, OAM_MINUS))
+    return label_basis(2)
 
 
 def embed_qubit(qubit: QubitSpec, basis, path: str) -> PhotonState:
@@ -74,43 +72,36 @@ def embed_qubit(qubit: QubitSpec, basis, path: str) -> PhotonState:
 
 
 @functools.lru_cache(maxsize=32)
-def label_states(labels: tuple) -> tuple:
-    """The ancilla label states |b, m> in ``labels`` order, which serve every input
+def label_states(d: int) -> tuple:
+    """The ancilla label states |b, m> in label order, which serve every input
     (the clone is linear in the ancilla); read-only, so no caller can change them."""
-    basis = label_basis(labels)
-    b = {mode.oam: mode for mode in basis.port("b")[0].modes}
-    states = tuple(fock.superposition_state(basis, [(b[m], 1.0)]) for m in labels)
+    basis = label_basis(d)
+    states = tuple(fock.superposition_state(basis, [(mode, 1.0)])
+                   for mode in basis.port("b")[0].modes[::-1])  # the port ascends
     for psi in states:
         psi.amplitudes.flags.writeable = False
     return states
 
 
-def _clone(amps, labels: tuple, oam_flip: bool, port: str, ancillas=None):
-    """Clone ``amps`` over ``labels`` on path a with ``ancillas``, (terms, weight) on b,
-    each term a (label, amplitude) pair; None is I/d over the cached ``label_states``.
-    Every clone is checked (``DensityOperator.validate``).  Returns (the clone over the
-    port's modes, the same clone in label order, the single-port success probability,
-    the fidelity Re <amps|clone|amps>)."""
-    try:
-        basis = label_basis(labels)
-    except TypeError:  # a label the cache cannot hash, say a list
-        raise ConfigurationError("labels must be d distinct integers") from None
-    if len(amps) != len(labels):
-        raise ConfigurationError(f"{len(amps)} amplitudes but {len(labels)} labels")
-    a, b = ({mode.oam: mode for mode in basis.port(path)[0].modes} for path in ("a", "b"))
+def _clone(amps, port: str, ancillas=None):
+    """Clone ``amps`` over ``oam_labels(len(amps))`` on path a with ``ancillas``, each
+    (amplitudes in label order, weight) on b; None is I/d over the cached
+    ``label_states``.  Every clone is checked (``DensityOperator.validate``).  Returns
+    (the clone over the port's modes, the same clone in label order, the single-port
+    success probability, the fidelity Re <amps|clone|amps>)."""
+    d = len(amps)
+    basis = label_basis(d)
+    a, b = (basis.port(path)[0].modes[::-1] for path in ("a", "b"))  # in label order
     if ancillas is None:
-        ensemble = ((psi_b, 1.0 / len(labels)) for psi_b in label_states(labels))
+        ensemble = ((psi_b, 1.0 / d) for psi_b in label_states(d))
     else:
-        ensemble = ((fock.superposition_state(basis, [(b[m], c) for m, c in terms]), w)
-                    for terms, w in ancillas)
-    rho, success = elements.coalesce(
-        fock.superposition_state(basis, [(a[m], c) for m, c in zip(labels, amps)]),
-        ensemble, port, oam_flip)
+        ensemble = ((fock.superposition_state(basis, zip(b, chi)), w) for chi, w in ancillas)
+    rho, success = elements.coalesce(fock.superposition_state(basis, zip(a, amps)),
+                                     ensemble, port)
     rho.validate()
-    # the port orders OAM ascending; on b' with the flip, label m arrives as -m
-    oams = [mode.oam for mode in rho.basis.modes]
-    out = [oams.index(-m if oam_flip and port == "b_prime" else m) for m in labels]
-    clone = rho.matrix.take(out, 0).take(out, 1)
+    # the port orders OAM ascending: on a' the labels read it backwards, and on b',
+    # where label m arrives as -m, forwards
+    clone = rho.matrix[::-1, ::-1].copy() if port == "a_prime" else rho.matrix
     amps = np.asarray(amps, dtype=complex)
     return rho, clone, success, float(np.real(amps.conj() @ clone @ amps))
 
@@ -140,12 +131,12 @@ def run_cloner_full(qubit: QubitSpec, n_ancilla_samples: int | None = None,
     """
     if port not in ("a_prime", "b_prime"):
         raise ConfigurationError("port must be 'a_prime' or 'b_prime'")
-    labels, ancillas = (OAM_PLUS, OAM_MINUS), None  # None: the core's exact I/2
+    ancillas = None  # the core's exact I/2
     if ancilla is not None:
-        ancillas = [(zip(labels, (ancilla.alpha, ancilla.beta)), 1.0)]
+        ancillas = [((ancilla.alpha, ancilla.beta), 1.0)]
     elif n_ancilla_samples is not None:
-        ancillas = ((zip(labels, chi), w) for chi, w in _ancilla_states(n_ancilla_samples, seed))
-    _, clone, success, fidelity = _clone((qubit.alpha, qubit.beta), labels, True, port, ancillas)
+        ancillas = _ancilla_states(n_ancilla_samples, seed)
+    _, clone, success, fidelity = _clone((qubit.alpha, qubit.beta), port, ancillas)
     return CloneResult(clone, float(success), fidelity, stokes_vector(clone))
 
 

@@ -71,23 +71,19 @@ def apply(op: ElementOperator, state):
     raise TypeError(f"unsupported state type {type(state)}")
 
 
-def beam_splitter(basis: ModeBasis, oam_flip: bool = True) -> ElementOperator:
+def beam_splitter(basis: ModeBasis) -> ElementOperator:
     """Balanced beam splitter routing paths a, b to a_prime, b_prime.
 
-    Reflection inverts the OAM sign (disable with ``oam_flip=False`` for
-    abstract internal labels).  The a'/b' -> a/b block is filled with the
-    adjoint of the forward block so the full matrix is unitary; those input
-    modes are never populated before the splitter in any scenario.
+    Reflection inverts the OAM sign, so the basis's OAM set must be closed
+    under m -> -m.  The a'/b' -> a/b block is filled with the adjoint of the
+    forward block so the full matrix is unitary; those input modes are never
+    populated before the splitter in any scenario.
     """
     needed = {"a", "b", "a_prime", "b_prime"}
     if not needed <= basis.paths:
         raise ConfigurationError("beam splitter needs paths a, b, a_prime, b_prime")
-    if oam_flip and any(-m not in basis.oam_set for m in basis.oam_set):
-        raise ConfigurationError("OAM set not closed under m -> -m; use oam_flip=False")
-
-    def flip(m):
-        return -m if oam_flip else m
-
+    if any(-m not in basis.oam_set for m in basis.oam_set):
+        raise ConfigurationError("OAM set not closed under m -> -m")
     n = basis.size
     mat = np.zeros((n, n), dtype=complex)
     inv = 1.0 / math.sqrt(2.0)
@@ -97,9 +93,9 @@ def beam_splitter(basis: ModeBasis, oam_flip: bool = True) -> ElementOperator:
         src = basis.index(mode)
         if mode.path == "a":
             mat[basis.index(ModeIndex("a_prime", mode.pol, mode.oam)), src] = inv
-            mat[basis.index(ModeIndex("b_prime", mode.pol, flip(mode.oam))), src] = 1j * inv
+            mat[basis.index(ModeIndex("b_prime", mode.pol, -mode.oam)), src] = 1j * inv
         else:
-            mat[basis.index(ModeIndex("a_prime", mode.pol, flip(mode.oam))), src] = 1j * inv
+            mat[basis.index(ModeIndex("a_prime", mode.pol, -mode.oam)), src] = 1j * inv
             mat[basis.index(ModeIndex("b_prime", mode.pol, mode.oam)), src] = inv
     in_idx = [i for i, m in enumerate(basis.modes) if m.path in ("a", "b")]
     out_idx = [i for i, m in enumerate(basis.modes) if m.path in ("a_prime", "b_prime")]
@@ -109,19 +105,19 @@ def beam_splitter(basis: ModeBasis, oam_flip: bool = True) -> ElementOperator:
 
 
 @functools.lru_cache(maxsize=32)
-def splitter(basis: ModeBasis, oam_flip: bool = True) -> ElementOperator:
+def splitter(basis: ModeBasis) -> ElementOperator:
     """The beam splitter, checked once: the port probability 2 ||S_port||^2 needs M unitary."""
-    return beam_splitter(basis, oam_flip).validate()
+    return beam_splitter(basis).validate()
 
 
-def coalesce(psi_a: PhotonState, ancillas, port: str, oam_flip: bool = True):
+def coalesce(psi_a: PhotonState, ancillas, port: str):
     """Post-select the runs where ``psi_a`` and an ancilla both leave by ``port``.
 
     Returns the one-photon state over the port's sub-basis, averaged over the
     ancillas ``(psi_b, w)`` (any iterable, read once) with weights w_k p_k,
     and the success probability sum_k w_k p_k.
     """
-    bs = splitter(psi_a.basis, oam_flip)
+    bs = splitter(psi_a.basis)
     success = acc = 0.0
     for psi_b, w in ancillas:
         kept, prob = fock.project_keys(apply(bs, fock.symmetrize_product(psi_a, psi_b)), port)

@@ -119,8 +119,7 @@ def fidelity_from_counts(c1: int, c2: int):
 
 
 def simulate_counts(input_qubit: QubitSpec, model: ImperfectionModel,
-                    budget: LossBudget, duration_s: float, seed,
-                    coupling: float | None = None) -> CountRecord:
+                    budget: LossBudget, duration_s: float, seed) -> CountRecord:
     """Draw Poisson coincidence counts for the clone / anti-clone detectors.
 
     The D_T x D_1 and D_T x D_2 streams are independent Poisson draws with
@@ -129,10 +128,8 @@ def simulate_counts(input_qubit: QubitSpec, model: ImperfectionModel,
     """
     if not (math.isfinite(duration_s) and duration_s >= 0):
         raise ConfigurationError("duration must be finite and nonnegative")
-    if coupling is not None and not 0.0 <= coupling <= 1.0:
-        raise ConfigurationError("coupling must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    rate = budget.rate(budget.default_coupling if coupling is None else coupling)
+    rate = budget.rate(budget.default_coupling)
     f = predicted_fidelity(model)  # >= 1/2, so c1 has the larger Poisson mean
     if duration_s * rate * f > POISSON_MEAN_MAX:
         raise ConfigurationError(f"Poisson mean {duration_s * rate * f:.3g} above numpy's limit")

@@ -87,11 +87,10 @@ def internal_overlap(psi_a: PhotonState, psi_b: PhotonState) -> float:
 
 
 def coincidence_expectation(psi_a: PhotonState, psi_b: PhotonState,
-                            delay: float, profile: SpectralProfile,
-                            baseline: float = 1.0) -> float:
+                            delay: float, profile: SpectralProfile) -> float:
     """Expected relative rate of both-photons-in-a' events at a given delay,
     ``hom_curve`` at one point."""
-    return float(hom_curve(psi_a, psi_b, [delay], profile, baseline).coincidences[0])
+    return float(hom_curve(psi_a, psi_b, [delay], profile).coincidences[0])
 
 
 @dataclass
@@ -100,23 +99,18 @@ class DelayScan:
 
     delays: np.ndarray
     coincidences: np.ndarray
-    enhancements: np.ndarray
     ratio: float
 
 
 def hom_curve(psi_a: PhotonState, psi_b: PhotonState, delays,
-              profile: SpectralProfile, baseline: float = 1.0) -> DelayScan:
+              profile: SpectralProfile) -> DelayScan:
     """Coincidence curve over a delay scan plus R = C(0) / C(infinity).
 
-    C(delay) = baseline * (1 + v(delay)^2 * mu), with the fully
-    distinguishable rate as the baseline.
+    C(delay) = 1 + v(delay)^2 * mu, relative to the fully distinguishable rate.
     """
     delays = np.asarray(list(delays), dtype=float)
     if delays.size == 0:
         raise ConfigurationError("empty delay scan")
     v = temporal_overlap(delays, profile)
-    if not (math.isfinite(baseline) and baseline > 0):
-        raise ConfigurationError("baseline must be finite and positive")
     mu = internal_overlap(psi_a, psi_b)
-    coincidences = baseline * (1.0 + v * v * mu)
-    return DelayScan(delays, coincidences, coincidences / baseline, 1.0 + mu)
+    return DelayScan(delays, 1.0 + v * v * mu, 1.0 + mu)

@@ -1,18 +1,13 @@
-"""Symmetrization cloning generalized to d-dimensional internal states.
+"""Symmetrization cloning generalized to d-dimensional OAM states.
 
-Default mode treats the internal levels as abstract labels: the beam
-splitter then acts on the path degree of freedom only (no OAM sign flip on
-reflection).  Passing explicit OAM labels with ``oam_flip=True`` restores
-the physical reflection bookkeeping; the label set must then be closed
-under m -> -m.
-
-``qudit_clone`` runs the core of ``cloning``, whose OAM qubit is the d = 2
-case: the input meets each label state |b, m_k> of the ancilla, weight 1/d.
-The clone is linear in the ancilla state, so this label basis gives the same
-clone as any other orthonormal basis of I/d (Werner, PRA 58, 1827 (1998)),
-the label states are built once per label set (``cloning.label_states``),
-and each branch occupies only d + 1 modes before the splitter.  Closed
-forms: F = 1/2 + 1/(d+1), both-port p = (d+1)/(2d).
+``qudit_clone`` runs the core of ``cloning`` over the d OAM labels
+``cloning.oam_labels(d)``, whose d = 2 case is the OAM qubit on {+2, -2}; the
+splitter flips OAM on reflection, as for the qubit.  The input meets each label
+state |b, m_k> of the ancilla, weight 1/d.  The clone is linear in the ancilla
+state, so this label basis gives the same clone as any other orthonormal basis
+of I/d (Werner, PRA 58, 1827 (1998)), the label states are built once per d
+(``cloning.label_states``), and each branch occupies only d + 1 modes before
+the splitter.  Closed forms: F = 1/2 + 1/(d+1), both-port p = (d+1)/(2d).
 """
 
 from __future__ import annotations
@@ -66,15 +61,9 @@ def qudit_formula(d: int):
     return 0.5 + 1.0 / (d + 1.0), (d + 1.0) / (2.0 * d)
 
 
-def qudit_clone(spec: QuditSpec, labels=None, oam_flip: bool = False) -> QuditCloneResult:
-    """Run the symmetrization channel with the I_d/d ancilla over its label states.
-
-    ``labels`` defaults to 0..d-1, or with ``oam_flip`` to a set closed under negation."""
-    d = spec.d
-    if labels is None:  # d = 4 with the flip: -3, -1, 1, 3
-        labels = range(1 - d, d, 2) if oam_flip else range(d)
-    clone, _, success, fidelity = _clone(spec.amplitudes, tuple(labels), bool(oam_flip),
-                                         "a_prime")
+def qudit_clone(spec: QuditSpec) -> QuditCloneResult:
+    """Run the symmetrization channel with the I_d/d ancilla over its label states."""
+    clone, _, success, fidelity = _clone(spec.amplitudes, "a_prime")
     # both BS ports contribute equally; quote the combined success probability
     return QuditCloneResult(fidelity, 2.0 * success, clone)
 

@@ -135,7 +135,7 @@ class TestOptimalCloning:
         [[0.6, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, -0.2]],  # d = 3, an eigenvalue < 0
     ])
     def test_clone_that_is_not_a_density_matrix_is_rejected(self, monkeypatch, bad):
-        def broken_coalesce(psi_a, ancillas, port, oam_flip=True):
+        def broken_coalesce(psi_a, ancillas, port):
             return DensityOperator(psi_a.basis.port(port)[0], np.array(bad)), 0.375
 
         monkeypatch.setattr(elements, "coalesce", broken_coalesce)

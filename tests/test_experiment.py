@@ -128,11 +128,12 @@ class TestSimulateCounts:
         # 3 sigma window for the sample mean of 300 Poisson(400) draws
         assert abs(np.mean(totals) - mean_rate) < 3 * math.sqrt(mean_rate / 300)
 
-    def test_explicit_coupling_overrides_the_default(self):
+    def test_the_default_coupling_sets_the_rate(self):
         q = QubitSpec.named("h")
-        budget = LossBudget()
-        big = simulate_counts(q, ImperfectionModel(), budget, 600.0, 1, coupling=0.25)
-        small = simulate_counts(q, ImperfectionModel(), budget, 600.0, 1, coupling=0.15)
+        big = simulate_counts(q, ImperfectionModel(), LossBudget(default_coupling=0.25),
+                              600.0, 1)
+        small = simulate_counts(q, ImperfectionModel(), LossBudget(default_coupling=0.15),
+                                600.0, 1)
         assert big.total > small.total
 
     def test_zero_duration(self):
@@ -150,12 +151,6 @@ class TestSimulateCounts:
     def test_poisson_mean_above_numpys_limit_rejected(self):
         with pytest.raises(ConfigurationError, match="Poisson mean"):
             simulate_counts(QubitSpec.named("h"), ImperfectionModel(), LossBudget(), 1e300, 0)
-
-    @pytest.mark.parametrize("coupling", [math.nan, -1.0, 2.0])
-    def test_coupling_outside_the_unit_interval_rejected(self, coupling):
-        with pytest.raises(ConfigurationError, match="coupling"):
-            simulate_counts(QubitSpec.named("h"), ImperfectionModel(), LossBudget(),
-                            600.0, 0, coupling=coupling)
 
 
 class TestTableOneRun:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oamclone import elements, fock
+from oamclone.cloning import oam_labels
 from oamclone.fock import (
     ConfigurationError,
     InvalidStateError,
@@ -61,9 +62,8 @@ def _loop_project_keys(amps, modes, path):
 
 
 def _cloner_paths_basis(d):
-    """The qubit cloner's basis for d = 2 (OAM -2, 2), the qudit cloner's otherwise."""
-    labels = (-2, 2) if d == 2 else range(d)
-    return build_basis(("a", "b", "a_prime", "b_prime"), labels, pols=("L",))
+    """The cloner's basis over d OAM labels: the qubit's (-2, 2) at d = 2."""
+    return build_basis(("a", "b", "a_prime", "b_prime"), oam_labels(d), pols=("L",))
 
 
 def _photon(basis, rng, modes):
@@ -106,7 +106,7 @@ class TestKernelsMatchTheLoopReference:
 
     def test_project_keys(self, d):
         basis = _cloner_paths_basis(d)
-        bs = elements.beam_splitter(basis, oam_flip=d == 2)
+        bs = elements.beam_splitter(basis)
         for pa, pb in _photon_pairs(basis, np.random.default_rng(d + 3)):
             out = elements.apply(bs, symmetrize_product(pa, pb))
             for path in ("a_prime", "b_prime", "a"):

@@ -145,14 +145,6 @@ class TestCoincidenceCurve:
         v = np.exp(-KAPPA * (delays / lc) ** 2)
         assert np.allclose(scan.coincidences, 1.0 + v * v, atol=1e-12)
 
-    def test_baseline_scales_counts_not_ratio(self):
-        prof = SpectralProfile()
-        scan = hom_curve(oam_state("a", 1, 0), oam_state("b", 0, 1),
-                         [0.0, 1.0], prof, baseline=250.0)
-        assert scan.coincidences[0] == pytest.approx(500.0)
-        assert scan.coincidences[1] == pytest.approx(250.0)
-        assert scan.ratio == pytest.approx(2.0)
-
     def test_mixture_average_gives_intermediate_ratio(self):
         # photon b in an equal classical mixture of the two eigenstates
         prof = SpectralProfile()
@@ -189,12 +181,3 @@ class TestCoincidenceCurve:
         assert scan.coincidences[:2].tolist() == [1.0, 1.0]
         assert scan.coincidences[2] == pytest.approx(2.0)
         assert temporal_overlap(1e300, prof) == 0.0
-
-    @pytest.mark.parametrize("baseline", [math.nan, math.inf, 0.0, -1.0])
-    def test_baseline_must_be_finite_and_positive(self, baseline):
-        from oamclone.fock import ConfigurationError
-        pa, pb = oam_state("a", 1, 0), oam_state("b", 0, 1)
-        with pytest.raises(ConfigurationError, match="baseline"):
-            hom_curve(pa, pb, [0.0], SpectralProfile(), baseline=baseline)
-        with pytest.raises(ConfigurationError, match="baseline"):
-            coincidence_expectation(pa, pb, 0.0, SpectralProfile(), baseline=baseline)

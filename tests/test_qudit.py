@@ -55,29 +55,17 @@ class TestChannelAgreement:
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 24])
     def test_clone_density_matches_the_oracle(self, d):
         # element by element, so that a wrong off-diagonal (a missing
-        # conjugate, a transpose) fails even where F and p agree
+        # conjugate, a transpose) fails even where F and p agree; read in
+        # label order, which is not the port's ascending OAM order
         phi = random_qudit(d, np.random.default_rng(50 + d)).amplitudes
         rho = qudit_clone(QuditSpec(phi)).clone_density
         assert rho.matrix.shape == (d, d)  # the a' modes only
-        a_prime = [rho.basis.index(fock.ModeIndex("a_prime", "L", k)) for k in range(d)]
+        a_prime = [rho.basis.index(fock.ModeIndex("a_prime", "L", m))
+                   for m in cloning.oam_labels(d)]
         block = rho.matrix[np.ix_(a_prime, a_prime)]
         expected, _ = symmetric_subspace_clone(np.outer(phi, phi.conj()), np.eye(d) / d)
         assert np.max(np.abs(block - expected)) < 1e-12
         assert np.trace(block).real == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("labels, oam_flip", [((3, -1, 1, -3), True), ((5, 0, 2), False)])
-    def test_labels_out_of_order_on_the_port(self, labels, oam_flip):
-        # the port's sub-basis orders OAM ascending, not in label order
-        d = len(labels)
-        phi = random_qudit(d, np.random.default_rng(60 + d)).amplitudes
-        res = qudit_clone(QuditSpec(phi), labels=labels, oam_flip=oam_flip)
-        f, p = qudit_formula(d)
-        assert res.fidelity == pytest.approx(f, abs=1e-12)
-        assert res.success_probability == pytest.approx(p, abs=1e-12)
-        rho = res.clone_density
-        order = [rho.basis.index(fock.ModeIndex("a_prime", "L", m)) for m in labels]
-        expected, _ = symmetric_subspace_clone(np.outer(phi, phi.conj()), np.eye(d) / d)
-        assert np.max(np.abs(rho.matrix[np.ix_(order, order)] - expected)) < 1e-12
 
     def test_fidelity_is_input_independent(self):
         rng = np.random.default_rng(43)
@@ -89,15 +77,15 @@ class TestChannelAgreement:
         res = qudit_clone(QuditSpec(np.array([1.0, 0.0])))
         assert res.fidelity == pytest.approx(5.0 / 6.0, abs=1e-12)
         assert res.success_probability == pytest.approx(0.75, abs=1e-12)
-        # the whole clone, on the qubit's labels (+2, -2) with the reflection flip
+        # the whole clone, read in the qubit's (+2, -2) order, bit for bit
         rng = np.random.default_rng(45)
         qubits = [qubit.QubitSpec.named(name) for name in qubit.SIX_STATE_AMPLITUDES]
         for q in qubits + [qubit.haar_random_qubit(rng) for _ in range(20)]:
-            rho = qudit_clone(QuditSpec([q.alpha, q.beta]), labels=(2, -2),
-                              oam_flip=True).clone_density
-            order = [rho.basis.index(fock.ModeIndex("a_prime", "L", m)) for m in (2, -2)]
+            rho = qudit_clone(QuditSpec([q.alpha, q.beta])).clone_density
+            order = [rho.basis.index(fock.ModeIndex("a_prime", "L", m))
+                     for m in (cloning.OAM_PLUS, cloning.OAM_MINUS)]
             expected = cloning.run_cloner_full(q).clone_density
-            assert np.max(np.abs(rho.matrix[np.ix_(order, order)] - expected)) <= 1e-15
+            assert np.array_equal(rho.matrix[np.ix_(order, order)], expected)
 
     def test_oracle_dimension_cap(self):
         with pytest.raises(ConfigurationError):
@@ -121,7 +109,7 @@ class TestPolarizationOamQuquart:
             phi = random_qudit(4, rng).amplitudes
             psi = fock.superposition_state(basis, [(fock.ModeIndex("a", pol, m), c)
                                                    for (pol, m), c in zip(levels, phi)])
-            rho, success = elements.coalesce(psi, ancillas, "a_prime", True)
+            rho, success = elements.coalesce(psi, ancillas, "a_prime")
             order = [rho.basis.index(fock.ModeIndex("a_prime", pol, m)) for pol, m in levels]
             clone = rho.matrix[np.ix_(order, order)]
             assert np.real(phi.conj() @ clone @ phi) == pytest.approx(0.7, abs=1e-12)
@@ -149,73 +137,54 @@ class TestSymmetricSubspaceOracle:
         assert not set(symmetric_subspace_clone.__code__.co_names) & simulator
 
 
-class TestOamFlipMode:
-    def test_flip_labels_are_symmetric(self):
-        res = qudit_clone(random_qudit(4, np.random.default_rng(3)), oam_flip=True)
-        f, p = qudit_formula(4)
-        assert res.fidelity == pytest.approx(f, abs=1e-10)
-        assert res.success_probability == pytest.approx(p, abs=1e-10)
+class TestOamLabels:
+    @pytest.mark.parametrize("d", range(1, 25))
+    def test_distinct_closed_under_negation_and_descending(self, d):
+        labels = cloning.oam_labels(d)
+        assert len(set(labels)) == len(labels) == d
+        assert {-m for m in labels} == set(labels)
+        assert all(m > n for m, n in zip(labels, labels[1:]))
 
-    def test_flip_qubit_on_pm_two(self):
-        res = qudit_clone(QuditSpec(np.array([1.0, 1.0])), labels=(-2, 2),
-                          oam_flip=True)
-        assert res.fidelity == pytest.approx(5.0 / 6.0, abs=1e-10)
+    def test_the_qubit_is_the_d2_case(self):
+        assert cloning.oam_labels(2) == (cloning.OAM_PLUS, cloning.OAM_MINUS)
+        assert cloning.label_basis(2) is cloning.cloner_basis()
 
-    def test_asymmetric_labels_rejected_with_flip(self):
-        with pytest.raises(ConfigurationError, match="oam_flip=False"):
-            qudit_clone(QuditSpec(np.ones(2)), labels=(0, 1), oam_flip=True)
+    def test_the_qubit_and_the_d2_qudit_share_one_ancilla_entry(self):
+        q = qubit.haar_random_qubit(np.random.default_rng(9))
+        cloning.label_states.cache_clear()
+        cloning.run_cloner_full(q)
+        qudit_clone(QuditSpec([q.alpha, q.beta]))
+        info = cloning.label_states.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ConfigurationError):
-            qudit_clone(QuditSpec(np.ones(2)), labels=(1, 1))
-
-    @pytest.mark.parametrize("labels", [(0.5, 1.5), (0.4, 0.6), ("1", "2"), ([1], [2])])
-    def test_non_integer_labels_rejected(self, labels):
-        with pytest.raises(ConfigurationError, match="distinct integers"):
-            qudit_clone(QuditSpec(np.ones(2)), labels=labels)
-
-    def test_label_count_mismatch_names_both_counts(self):
-        with pytest.raises(ConfigurationError, match="2 amplitudes but 3 labels"):
-            qudit_clone(QuditSpec(np.ones(2)), labels=(0, 1, 2))
-
-    def test_integer_valued_float_labels_accepted(self):
-        res = qudit_clone(QuditSpec(np.array([0.6, 0.8j])), labels=(1.0, 2.0))
-        assert res.fidelity == pytest.approx(5.0 / 6.0, abs=1e-12)
-
-    def test_optics_are_cached_per_label_set_and_flip(self):
+    def test_optics_are_cached_per_d(self):
         elements.splitter.cache_clear()
-        spec = random_qudit(4, np.random.default_rng(8))
-        f, p = qudit_formula(4)
-        cases = [((0, 1, 2, 3), False), ((-3, -1, 1, 3), False), ((-3, -1, 1, 3), True)]
+        rng = np.random.default_rng(8)
         for _ in range(2):
-            for labels, flip in cases:
-                res = qudit_clone(spec, labels=labels, oam_flip=flip)
+            for d in (2, 3, 4):
+                res = qudit_clone(random_qudit(d, rng))
+                f, p = qudit_formula(d)
                 assert res.fidelity == pytest.approx(f, abs=1e-10)
                 assert res.success_probability == pytest.approx(p, abs=1e-10)
         info = elements.splitter.cache_info()
         assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
-        splitters = [elements.splitter(cloning.label_basis(labels), flip).matrix
-                     for labels, flip in cases]
-        assert not np.array_equal(splitters[1], splitters[2])  # the flip moves reflected modes
 
 
 class TestLabelStates:
-    CASES = [((0, 1, 2, 3), False), ((-3, -1, 1, 3), True)]
-
-    @pytest.mark.parametrize("labels,flip", CASES)
-    def test_cached_states_equal_fresh_ones(self, labels, flip):
-        basis = cloning.label_basis(labels)
-        states = cloning.label_states(labels)
-        qudit_clone(QuditSpec(np.ones(len(labels))), labels=labels, oam_flip=flip)
-        assert states is cloning.label_states(labels)  # one entry serves either flip
-        for m, psi in zip(labels, states):
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_cached_states_equal_fresh_ones(self, d):
+        basis = cloning.label_basis(d)
+        states = cloning.label_states(d)
+        qudit_clone(QuditSpec(np.ones(d)))
+        assert states is cloning.label_states(d)  # the clone used this entry
+        for m, psi in zip(cloning.oam_labels(d), states):
             fresh = fock.superposition_state(basis, [(fock.ModeIndex("b", "L", m), 1.0)])
             assert psi.basis == basis
             assert np.array_equal(psi.amplitudes, fresh.amplitudes)
 
-    @pytest.mark.parametrize("labels,flip", CASES)
-    def test_cached_amplitudes_are_read_only(self, labels, flip):
-        psi = cloning.label_states(labels)[0]
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_cached_amplitudes_are_read_only(self, d):
+        psi = cloning.label_states(d)[0]
         with pytest.raises(ValueError, match="read-only"):
             psi.amplitudes[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -223,8 +192,8 @@ class TestLabelStates:
         assert np.count_nonzero(psi.amplitudes) == 1
 
     def test_a_warm_call_builds_only_the_input(self, monkeypatch):
-        labels, spec = (0, 1, 2), random_qudit(3, np.random.default_rng(5))
-        first = qudit_clone(spec, labels=labels)
+        spec = random_qudit(3, np.random.default_rng(5))
+        first = qudit_clone(spec)
         build, built = fock.superposition_state, []
 
         def counting(basis, terms):
@@ -232,7 +201,7 @@ class TestLabelStates:
             return build(basis, terms)
 
         monkeypatch.setattr(fock, "superposition_state", counting)
-        again = qudit_clone(spec, labels=labels)
+        again = qudit_clone(spec)
         assert len(built) == 1
         assert np.array_equal(again.clone_density.matrix, first.clone_density.matrix)
 
