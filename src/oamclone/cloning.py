@@ -9,8 +9,8 @@ each carries the clone.  The OAM qubit on {+2, -2} is the d = 2 case: fidelity
 Two independent routes compute the qubit channel: ``run_cloner_full`` evolves
 the two-photon state through the beam-splitter unitary, ``run_cloner_projector``
 projects the input (x) ancilla pair on the symmetric subspace (numpy only).
-The core checks every clone, for every d, with ``DensityOperator.validate`` and
-scores it once: the fidelity <phi|C|phi> in label order.
+The core checks every clone, for every d, with ``DensityOperator.validate``, returns
+it in label order (``label_modes``) and scores it once: the fidelity <phi|C|phi>.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from . import elements, fock
 from .fock import ConfigurationError, ModeBasis, ModeIndex, PhotonState, build_basis
 from .qubit import SIX_STATE_AMPLITUDES, QubitSpec, haar_random_qubit, stokes_vector
 
-OAM_PLUS = 2
-OAM_MINUS = -2
 _POL = "L"  # both photons share one polarization; the labels are OAM only
 
 
@@ -60,24 +58,35 @@ def label_basis(d: int) -> ModeBasis:
     return build_basis(("a", "b", "a_prime", "b_prime"), oam_labels(d), pols=(_POL,))
 
 
+@functools.lru_cache(maxsize=128)
+def label_modes(d: int, path: str) -> tuple:
+    """The modes that carry the labels ``oam_labels(d)`` on ``path``, in label order:
+    mode m on a, b and a', and -m on b', which the input reaches by reflection."""
+    sign = -1 if path == "b_prime" else 1
+    return tuple(ModeIndex(path, _POL, sign * m) for m in oam_labels(d))
+
+
+@functools.lru_cache(maxsize=64)
+def _label_port(d: int, port: str):
+    """(``port``'s sub-basis in label order, the ``np.ix_`` index that puts its block in it)."""
+    idx = [label_basis(d).port(port)[0].index(mode) for mode in label_modes(d, port)]
+    return ModeBasis(label_modes(d, port)), np.ix_(idx, idx)
+
+
 def cloner_basis() -> ModeBasis:
     return label_basis(2)
 
 
 def embed_qubit(qubit: QubitSpec, basis, path: str) -> PhotonState:
-    return fock.superposition_state(basis, [
-        (ModeIndex(path, _POL, OAM_PLUS), qubit.alpha),
-        (ModeIndex(path, _POL, OAM_MINUS), qubit.beta),
-    ])
+    return fock.superposition_state(basis, zip(label_modes(2, path), (qubit.alpha, qubit.beta)))
 
 
 @functools.lru_cache(maxsize=32)
 def label_states(d: int) -> tuple:
     """The ancilla label states |b, m> in label order, which serve every input
     (the clone is linear in the ancilla); read-only, so no caller can change them."""
-    basis = label_basis(d)
-    states = tuple(fock.superposition_state(basis, [(mode, 1.0)])
-                   for mode in basis.port("b")[0].modes[::-1])  # the port ascends
+    states = tuple(fock.superposition_state(label_basis(d), [(mode, 1.0)])
+                   for mode in label_modes(d, "b"))
     for psi in states:
         psi.amplitudes.flags.writeable = False
     return states
@@ -86,24 +95,21 @@ def label_states(d: int) -> tuple:
 def _clone(amps, port: str, ancillas=None):
     """Clone ``amps`` over ``oam_labels(len(amps))`` on path a with ``ancillas``, each
     (amplitudes in label order, weight) on b; None is I/d over the cached
-    ``label_states``.  Every clone is checked (``DensityOperator.validate``).  Returns
-    (the clone over the port's modes, the same clone in label order, the single-port
-    success probability, the fidelity Re <amps|clone|amps>)."""
+    ``label_states``.  Returns (the clone over the port's modes in label order, checked by
+    ``DensityOperator.validate``; its single-port success probability; Re <amps|clone|amps>)."""
     d = len(amps)
     basis = label_basis(d)
-    a, b = (basis.port(path)[0].modes[::-1] for path in ("a", "b"))  # in label order
     if ancillas is None:
         ensemble = ((psi_b, 1.0 / d) for psi_b in label_states(d))
     else:
-        ensemble = ((fock.superposition_state(basis, zip(b, chi)), w) for chi, w in ancillas)
-    rho, success = elements.coalesce(fock.superposition_state(basis, zip(a, amps)),
-                                     ensemble, port)
-    rho.validate()
-    # the port orders OAM ascending: on a' the labels read it backwards, and on b',
-    # where label m arrives as -m, forwards
-    clone = rho.matrix[::-1, ::-1].copy() if port == "a_prime" else rho.matrix
+        ensemble = ((fock.superposition_state(basis, zip(label_modes(d, "b"), chi)), w)
+                    for chi, w in ancillas)
+    rho, success = elements.coalesce(
+        fock.superposition_state(basis, zip(label_modes(d, "a"), amps)), ensemble, port)
+    sub, idx = _label_port(d, port)
+    clone = fock.DensityOperator(sub, rho.matrix[idx]).validate()
     amps = np.asarray(amps, dtype=complex)
-    return rho, clone, success, float(np.real(amps.conj() @ clone @ amps))
+    return clone, success, float(np.real(amps.conj() @ clone.matrix @ amps))
 
 
 def _ancilla_states(n_samples, seed):
@@ -121,23 +127,20 @@ def _ancilla_states(n_samples, seed):
 
 
 def run_cloner_full(qubit: QubitSpec, n_ancilla_samples: int | None = None,
-                    seed: int | None = None, ancilla: QubitSpec | None = None,
-                    port: str = "a_prime") -> CloneResult:
+                    seed: int | None = None, port: str = "a_prime") -> CloneResult:
     """Clone via the explicit beam-splitter evolution and same-port post-selection.
 
-    ``ancilla`` replaces the maximally mixed ancilla by a pure state (used
-    to reproduce the identical-photon limit); ``port`` selects which output
-    port is post-selected, both yield the same clone state.
+    The ancilla is the exact I/2, or ``n_ancilla_samples`` sampled states;
+    ``port`` selects which output port is post-selected, both yield the same
+    clone state.
     """
     if port not in ("a_prime", "b_prime"):
         raise ConfigurationError("port must be 'a_prime' or 'b_prime'")
     ancillas = None  # the core's exact I/2
-    if ancilla is not None:
-        ancillas = [((ancilla.alpha, ancilla.beta), 1.0)]
-    elif n_ancilla_samples is not None:
+    if n_ancilla_samples is not None:
         ancillas = _ancilla_states(n_ancilla_samples, seed)
-    _, clone, success, fidelity = _clone((qubit.alpha, qubit.beta), port, ancillas)
-    return CloneResult(clone, float(success), fidelity, stokes_vector(clone))
+    clone, success, fidelity = _clone((qubit.alpha, qubit.beta), port, ancillas)
+    return CloneResult(clone.matrix, float(success), fidelity, stokes_vector(clone.matrix))
 
 
 def run_cloner_projector(qubit: QubitSpec, n_ancilla_samples: int | None = None,
@@ -156,23 +159,6 @@ def run_cloner_projector(qubit: QubitSpec, n_ancilla_samples: int | None = None,
     clone, p = symmetric_subspace_clone(np.outer(target, target.conj()), sigma)
     fidelity = float(np.real(target.conj() @ clone @ target))
     return CloneResult(clone, p / 2.0, fidelity, stokes_vector(clone))
-
-
-def clone_with_preparation_infidelity(qubit: QubitSpec, f_prep: float) -> CloneResult:
-    """Cloner fed the imperfectly prepared input F|phi><phi| + (1-F)|perp><perp|."""
-    if not 0.5 <= f_prep <= 1.0:
-        raise ConfigurationError("f_prep must lie in [0.5, 1]")
-    good = run_cloner_full(qubit)
-    if f_prep == 1.0:
-        return good
-    bad = run_cloner_full(qubit.orthogonal())
-    w_good = f_prep * good.success_probability
-    w_bad = (1 - f_prep) * bad.success_probability
-    # a mix of two checked clones: scored here, not checked again
-    clone = (w_good * good.clone_density + w_bad * bad.clone_density) / (w_good + w_bad)
-    target = qubit.vector()
-    fidelity = float(np.real(target.conj() @ clone @ target))
-    return CloneResult(clone, w_good + w_bad, fidelity, stokes_vector(clone))
 
 
 @dataclass

@@ -115,7 +115,7 @@ def coalesce(psi_a: PhotonState, ancillas, port: str):
 
     Returns the one-photon state over the port's sub-basis, averaged over the
     ancillas ``(psi_b, w)`` (any iterable, read once) with weights w_k p_k,
-    and the success probability sum_k w_k p_k.
+    and the success probability sum_k w_k p_k; ConfigurationError if that is 0.
     """
     bs = splitter(psi_a.basis)
     success = acc = 0.0
@@ -123,4 +123,6 @@ def coalesce(psi_a: PhotonState, ancillas, port: str):
         kept, prob = fock.project_keys(apply(bs, fock.symmetrize_product(psi_a, psi_b)), port)
         acc = acc + (w * prob) * fock.reduced_single_pure(kept).matrix
         success += w * prob
+    if success == 0.0:
+        raise ConfigurationError("no post-selected weight: no ancilla, or none with weight")
     return DensityOperator(kept.basis, acc / success), success

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ConfigurationError
-from .qubit import QubitSpec
+from .qubit import SIX_STATE_AMPLITUDES, QubitSpec
 
-TABLE_ONE_STATES = ("h", "v", "minus2", "plus2", "a", "d")
+TABLE_ONE_STATES = tuple(SIX_STATE_AMPLITUDES)
 POISSON_MEAN_MAX = 9.223372006484771e18  # numpy's poisson limit: int64 max - 10 sqrt(int64 max)
 
 
@@ -80,7 +80,7 @@ class LossBudget:
         return self.qplate_efficiency * self.transferrer_success
 
     def p_det(self, coupling: float) -> float:
-        return self.qplate_efficiency * self.transferrer_success * coupling
+        return self.p_prep * coupling
 
     def rate(self, coupling: float) -> float:
         return (self.source_rate_hz * self.p_prep ** 2 * (3.0 / 8.0)  # the ideal cloner's p
@@ -97,7 +97,6 @@ def rate_budget(budget: LossBudget):
 class CountRecord:
     c1: int
     c2: int
-    duration_s: float
     f_exp: float
     poisson_error: float
 
@@ -125,6 +124,7 @@ def simulate_counts(input_qubit: QubitSpec, model: ImperfectionModel,
     The D_T x D_1 and D_T x D_2 streams are independent Poisson draws with
     means duration * rate * F and duration * rate * (1 - F), where
     F = predicted_fidelity(model).  Deterministic for a fixed seed.
+    ``input_qubit`` is not read: the universal cloner's counts do not depend on it.
     """
     if not (math.isfinite(duration_s) and duration_s >= 0):
         raise ConfigurationError("duration must be finite and nonnegative")
@@ -136,9 +136,9 @@ def simulate_counts(input_qubit: QubitSpec, model: ImperfectionModel,
     c1 = int(rng.poisson(duration_s * rate * f))
     c2 = int(rng.poisson(duration_s * rate * (1.0 - f)))
     if c1 + c2 == 0:
-        return CountRecord(0, 0, duration_s, math.nan, math.nan)
+        return CountRecord(0, 0, math.nan, math.nan)
     f_exp, sigma = fidelity_from_counts(c1, c2)
-    return CountRecord(c1, c2, duration_s, f_exp, sigma)
+    return CountRecord(c1, c2, f_exp, sigma)
 
 
 @dataclass

@@ -21,7 +21,6 @@ from . import (BasisMismatchError, ConfigurationError, FockError,  # noqa: F401
 
 PATHS = ("a", "b", "a_prime", "b_prime")
 POLS = ("L", "R")
-DEFAULT_OAM_SET = (-2, 0, 2)
 
 NORM_ATOL = 1e-12
 HERM_ATOL = 1e-12
@@ -86,7 +85,7 @@ class ModeBasis:
         return self._hash
 
 
-def build_basis(paths, oam_set=DEFAULT_OAM_SET, pols=POLS) -> ModeBasis:
+def build_basis(paths, oam_set, pols=POLS) -> ModeBasis:
     """Enumerate all (path, pol, oam) combinations.
 
     Order is deterministic: paths in canonical order a, b, a_prime, b_prime,

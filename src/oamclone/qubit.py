@@ -60,9 +60,6 @@ class QubitSpec:
         v = self.vector()
         return np.array([np.real(np.vdot(v, PAULI[ax] @ v)) for ax in "xyz"])
 
-    def orthogonal(self) -> "QubitSpec":
-        return QubitSpec(-self.beta.conjugate(), self.alpha.conjugate())
-
 
 def stokes_vector(rho: np.ndarray) -> np.ndarray:
     """Pauli expectation values of a 2x2 density matrix on (+2, -2)."""

@@ -51,7 +51,7 @@ class QuditSpec:
 class QuditCloneResult:
     fidelity: float
     success_probability: float
-    clone_density: DensityOperator  # over the a' modes, in ascending OAM order
+    clone_density: DensityOperator  # over the a' modes, in label order
 
 
 def qudit_formula(d: int):
@@ -63,7 +63,7 @@ def qudit_formula(d: int):
 
 def qudit_clone(spec: QuditSpec) -> QuditCloneResult:
     """Run the symmetrization channel with the I_d/d ancilla over its label states."""
-    clone, _, success, fidelity = _clone(spec.amplitudes, "a_prime")
+    clone, success, fidelity = _clone(spec.amplitudes, "a_prime")
     # both BS ports contribute equally; quote the combined success probability
     return QuditCloneResult(fidelity, 2.0 * success, clone)
 

@@ -6,7 +6,6 @@ import pytest
 from oamclone import cloning, elements, qudit
 from oamclone.cloning import (
     QubitSpec,
-    clone_with_preparation_infidelity,
     haar_random_qubit,
     run_cloner_full,
     run_cloner_projector,
@@ -28,12 +27,6 @@ class TestQubitSpec:
         assert np.allclose(QubitSpec.named("v").bloch(), [-1, 0, 0], atol=1e-12)
         assert abs(QubitSpec.named("a").bloch()[1]) == pytest.approx(1.0)
         assert abs(QubitSpec.named("d").bloch()[1]) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            q = haar_random_qubit(rng)
-            assert abs(np.vdot(q.vector(), q.orthogonal().vector())) < 1e-12
 
     def test_unknown_label(self):
         with pytest.raises(ConfigurationError):
@@ -111,18 +104,17 @@ class TestOptimalCloning:
         # with the ancilla prepared in the same flip-symmetric state the two
         # photons fully coalesce and the post-selected photon is unchanged
         for label in ("h", "v"):
-            q = QubitSpec.named(label)
-            res = run_cloner_full(q, ancilla=q)
-            assert res.fidelity == pytest.approx(1.0, abs=1e-12)
-            assert res.success_probability == pytest.approx(0.5, abs=1e-12)
-            assert np.allclose(res.clone_density,
-                               np.outer(q.vector(), q.vector().conj()), atol=1e-12)
+            amps = QubitSpec.named(label).vector()
+            clone, success, fidelity = cloning._clone(amps, "a_prime", [(amps, 1.0)])
+            assert fidelity == pytest.approx(1.0, abs=1e-12)
+            assert success == pytest.approx(0.5, abs=1e-12)
+            assert np.allclose(clone.matrix, np.outer(amps, amps.conj()), atol=1e-12)
 
     def test_orthogonal_flipped_ancilla_passes_unenhanced(self):
         # ancilla |+2> against input |+2>: reflections make them orthogonal
-        q = QubitSpec.named("plus2")
-        res = run_cloner_full(q, ancilla=q)
-        assert res.success_probability == pytest.approx(0.25, abs=1e-12)
+        amps = QubitSpec.named("plus2").vector()
+        _, success, _ = cloning._clone(amps, "a_prime", [(amps, 1.0)])
+        assert success == pytest.approx(0.25, abs=1e-12)
 
     def test_bad_port_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -177,30 +169,6 @@ class TestUniversality:
     def test_bad_sample_count(self):
         with pytest.raises(ConfigurationError):
             run_cloner_full(QubitSpec.named("h"), n_ancilla_samples=0)
-
-
-class TestPreparationInfidelity:
-    def test_perfect_preparation_is_a_passthrough(self):
-        q = QubitSpec.named("h")
-        assert clone_with_preparation_infidelity(q, 1.0).fidelity \
-            == pytest.approx(5.0 / 6.0, abs=1e-12)
-
-    def test_f_prep_mixes_linearly(self):
-        # F(f) = f * 5/6 + (1 - f) * 1/6 since both branches succeed equally
-        q = QubitSpec.named("plus2")
-        for f in (0.96, 0.9, 0.75):
-            res = clone_with_preparation_infidelity(q, f)
-            want = f * (5.0 / 6.0) + (1.0 - f) * (1.0 / 6.0)
-            assert res.fidelity == pytest.approx(want, abs=1e-12)
-            assert res.success_probability == pytest.approx(3.0 / 8.0, abs=1e-12)
-
-    def test_value_at_nominal_preparation(self):
-        res = clone_with_preparation_infidelity(QubitSpec.named("a"), 0.96)
-        assert res.fidelity == pytest.approx(0.8066666666666666, abs=1e-12)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            clone_with_preparation_infidelity(QubitSpec.named("h"), 0.3)
 
 
 class TestStokes:

@@ -121,6 +121,14 @@ class TestCoalesce:
         assert np.allclose(rho.matrix, np.diag([1.0 / 6.0, 5.0 / 6.0]), atol=1e-12)
         assert success == pytest.approx(3.0 / 8.0, abs=1e-12)
 
+    def test_no_post_selected_weight_is_rejected(self):
+        basis = cloning.cloner_basis()
+        pa, pb = (superposition_state(basis, [(ModeIndex(path, "L", 2), 1.0)])
+                  for path in ("a", "b"))
+        for ancillas in ([], [(pb, 0.0)]):  # no ancilla; one that reaches a', with weight 0
+            with pytest.raises(fock.ConfigurationError, match="no post-selected weight"):
+                elements.coalesce(pa, ancillas, "a_prime")
+
     def test_one_checked_splitter_serves_every_scenario(self):
         basis = cloning.cloner_basis()
         assert basis is cloning.label_basis(2)

@@ -55,17 +55,21 @@ class TestChannelAgreement:
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 24])
     def test_clone_density_matches_the_oracle(self, d):
         # element by element, so that a wrong off-diagonal (a missing
-        # conjugate, a transpose) fails even where F and p agree; read in
-        # label order, which is not the port's ascending OAM order
+        # conjugate, a transpose) fails even where F and p agree
         phi = random_qudit(d, np.random.default_rng(50 + d)).amplitudes
-        rho = qudit_clone(QuditSpec(phi)).clone_density
-        assert rho.matrix.shape == (d, d)  # the a' modes only
-        a_prime = [rho.basis.index(fock.ModeIndex("a_prime", "L", m))
-                   for m in cloning.oam_labels(d)]
-        block = rho.matrix[np.ix_(a_prime, a_prime)]
+        rho = qudit_clone(QuditSpec(phi)).clone_density.matrix
+        assert rho.shape == (d, d)  # the a' modes only
         expected, _ = symmetric_subspace_clone(np.outer(phi, phi.conj()), np.eye(d) / d)
-        assert np.max(np.abs(block - expected)) < 1e-12
-        assert np.trace(block).real == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(rho - expected)) < 1e-12
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 24])
+    def test_clone_density_is_in_label_order(self, d):
+        # the input's amplitudes score the clone as it is returned
+        phi = random_qudit(d, np.random.default_rng(60 + d)).amplitudes
+        res = qudit_clone(QuditSpec(phi))
+        assert abs(np.real(phi.conj() @ res.clone_density.matrix @ phi) - res.fidelity) <= 1e-15
+        assert res.clone_density.basis.modes == cloning.label_modes(d, "a_prime")
 
     def test_fidelity_is_input_independent(self):
         rng = np.random.default_rng(43)
@@ -77,15 +81,12 @@ class TestChannelAgreement:
         res = qudit_clone(QuditSpec(np.array([1.0, 0.0])))
         assert res.fidelity == pytest.approx(5.0 / 6.0, abs=1e-12)
         assert res.success_probability == pytest.approx(0.75, abs=1e-12)
-        # the whole clone, read in the qubit's (+2, -2) order, bit for bit
+        # the whole clone, bit for bit: both front ends return it in label order
         rng = np.random.default_rng(45)
         qubits = [qubit.QubitSpec.named(name) for name in qubit.SIX_STATE_AMPLITUDES]
         for q in qubits + [qubit.haar_random_qubit(rng) for _ in range(20)]:
             rho = qudit_clone(QuditSpec([q.alpha, q.beta])).clone_density
-            order = [rho.basis.index(fock.ModeIndex("a_prime", "L", m))
-                     for m in (cloning.OAM_PLUS, cloning.OAM_MINUS)]
-            expected = cloning.run_cloner_full(q).clone_density
-            assert np.array_equal(rho.matrix[np.ix_(order, order)], expected)
+            assert np.array_equal(rho.matrix, cloning.run_cloner_full(q).clone_density)
 
     def test_oracle_dimension_cap(self):
         with pytest.raises(ConfigurationError):
@@ -145,8 +146,19 @@ class TestOamLabels:
         assert {-m for m in labels} == set(labels)
         assert all(m > n for m, n in zip(labels, labels[1:]))
 
+    @pytest.mark.parametrize("d", range(1, 25))
+    def test_label_modes_carry_m_and_b_prime_carries_minus_m(self, d):
+        # the input reaches b' by reflection, which flips the OAM sign
+        for path in ("a", "b", "a_prime", "b_prime"):
+            modes = cloning.label_modes(d, path)
+            sign = -1 if path == "b_prime" else 1
+            assert [(mode.path, mode.oam) for mode in modes] \
+                == [(path, sign * m) for m in cloning.oam_labels(d)]
+            assert all(mode in cloning.label_basis(d).modes for mode in modes)
+            assert cloning.label_modes(d, path) is modes
+
     def test_the_qubit_is_the_d2_case(self):
-        assert cloning.oam_labels(2) == (cloning.OAM_PLUS, cloning.OAM_MINUS)
+        assert cloning.oam_labels(2) == (2, -2)
         assert cloning.label_basis(2) is cloning.cloner_basis()
 
     def test_the_qubit_and_the_d2_qudit_share_one_ancilla_entry(self):

@@ -1,6 +1,6 @@
 """Every name a package module imports is used, unless its import says ``# noqa``,
-no package module imports the benchmark, and ``build_basis`` and the one
-coalescence pipeline keep their callers.
+no package module imports the benchmark, and ``build_basis``, ``ModeIndex`` and the
+one coalescence pipeline keep their callers.
 
 Lint checks in the standard library only: the source is parsed with ``ast``,
 and an imported name counts as used when it appears as a name anywhere in
@@ -15,9 +15,12 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "oamclone"
 BENCHMARK_MODULES = {"perfbench", "spans", "workloads", "checks"}
 # function -> the (module file, function) pairs that may call it: every cloner
-# goes through the core, and the HOM overlap reads the same coalescence
+# goes through the core, the HOM overlap reads the same coalescence, and a mode
+# is named only by the basis, the splitter and the one label-to-mode map
 ALLOWED_CALLERS = {
     "build_basis": {("cloning.py", "label_basis")},
+    "ModeIndex": {("fock.py", "build_basis"), ("elements.py", "beam_splitter"),
+                  ("cloning.py", "label_modes")},
     "coalesce": {("cloning.py", "_clone"), ("interference.py", "internal_overlap")},
 }
 
