@@ -1,7 +1,6 @@
 import importlib
 import json
 import math
-import os
 import subprocess
 import sys
 import tempfile
@@ -16,21 +15,7 @@ import oamclone
 from oamclone import cli, cloning, experiment
 from oamclone.cli import main, validate_config, ConfigValidationError
 from oamclone.cloning import QubitSpec
-
-# The directory that holds the oamclone package this test process imported.
-# Children get it as an absolute first PYTHONPATH entry, so they import the
-# same copy from any working directory: a relative entry such as
-# PYTHONPATH=src would resolve against the child's cwd.
-PACKAGE_ROOT = Path(oamclone.__file__).resolve().parent.parent
-
-
-def child_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(PACKAGE_ROOT)]
-        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    return env
-
+from fresh_process import child_env
 
 def _reject_constant(token):
     raise ValueError(f"non-finite JSON number {token}")
@@ -193,13 +178,16 @@ def test_hom_config_outside_the_table_exits_3_and_writes_nothing(hom_yaml, tmp_p
 DRAWN_SIZE_CAPS = {"hom.delay_steps": 200, "clone.ancilla_samples": 20,
                    "qudit.d_min": 6, "qudit.d_max": 6, "stokes.runs": 4}
 LABELS = st.sampled_from([*cli.STATE_NAMES, *cli.STATE_ALIASES])
+# the normalizers of a key that takes one state label and of one that takes a list
+STATE_LABEL = cli.KEYS["clone.input"].normalize
+STATE_LIST = cli.KEYS["stokes.states"].normalize
 
 
 def accepted_values(name, key):
     """Every value the table row ``key`` accepts, with sizes capped."""
-    if key.normalize is cli._state_label:
+    if key.normalize is STATE_LABEL:
         return LABELS
-    if key.normalize is cli._state_list:
+    if key.normalize is STATE_LIST:
         return st.lists(LABELS, min_size=1, max_size=8)
     hi = min(key.hi, DRAWN_SIZE_CAPS.get(name, key.hi))
     if float in key.types:
@@ -211,11 +199,11 @@ def accepted_values(name, key):
 def rejected_values(key):
     """Values that the table row ``key`` rejects: wrong types, and values
     outside its range or that its normalizer refuses."""
-    if key.normalize is cli._state_label:
+    if key.normalize is STATE_LABEL:
         return st.text("abcdhv+-2 ", max_size=4).filter(
             lambda s: s not in cli.STATE_NAMES and s not in cli.STATE_ALIASES) \
             | st.sampled_from([2, None, True, ["h"]])
-    if key.normalize is cli._state_list:
+    if key.normalize is STATE_LIST:
         return st.sampled_from([[], ["h"] * (cli.MAX_STOKES_STATES + 1), ["h", "x"],
                                 ["h", 2], "h", None])
     wrong_types = st.sampled_from([True, False, "1.0", [1.0], {"a": 1.0}])
@@ -234,6 +222,15 @@ def rejected_values(key):
     return wrong_types | out_of_range
 
 
+def nested(flat):
+    """``{"seed": s, "hom.state_a": a}`` as ``{"seed": s, "hom": {"state_a": a}}``."""
+    config = {}
+    for name, value in flat.items():
+        section, _, sub = name.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[sub] = value
+    return config
+
+
 def cross_key_rules_kept(config):
     """Bring the drawn keys that a cross-key rule ties together into line."""
     qd, exp = config["qudit"], config["experiment"]
@@ -248,7 +245,7 @@ def cross_key_rules_kept(config):
 
 ACCEPTED_CONFIGS = st.fixed_dictionaries(
     {name: accepted_values(name, key) for name, key in cli.KEYS.items()}
-).map(cli._nested).map(cross_key_rules_kept)
+).map(nested).map(cross_key_rules_kept)
 
 
 def run_with_config(scenario, config, tmp, *extra):
@@ -334,12 +331,19 @@ def test_importing_the_cli_loads_no_physics_module(tmp_path):
     assert "yaml" not in loaded
 
 
-def test_lazy_package_exports_are_their_modules_objects():
-    for name, module in oamclone._EXPORTS.items():
-        owner = importlib.import_module(f"oamclone.{module}")
-        assert getattr(oamclone, name) is getattr(owner, name)
-        assert getattr(owner, name).__module__ == owner.__name__
-        assert name in dir(oamclone)
+def test_lazy_package_exports_are_their_modules_objects(monkeypatch):
+    # a lazy export is listed by dir() but is not a package global; reading it
+    # imports the one module that defines it, and gives that module's object
+    lazy = set(dir(oamclone)) - set(vars(oamclone))
+    assert {"DensityOperator", "run_cloner_full", "QubitSpec", "qudit_clone",
+            "hom_curve"} <= lazy
+    imported, import_module = [], importlib.import_module
+    monkeypatch.setattr(importlib, "import_module",
+                        lambda name: imported.append(name) or import_module(name))
+    for name in sorted(lazy):
+        obj = getattr(oamclone, name)
+        assert imported[-1] == obj.__module__
+        assert getattr(sys.modules[obj.__module__], name) is obj
     with pytest.raises(AttributeError):
         oamclone.no_such_name
 
@@ -379,10 +383,10 @@ def test_stokes_clones_each_input_once(tmp_path, monkeypatch):
                                              seeds[i * cfg["runs"] + run_idx])
             rows.append((label, run_idx, *res.input_bloch, *res.estimated, res.length))
     assert len(calls) == 6 + len(rows)  # the 3-argument form clones on every call
-    expected = tmp_path / "expected.csv"
-    header = (out / "stokes.csv").read_text().splitlines()[0].split(",")
-    cli._write_csv(expected, header, rows)
-    assert (out / "stokes.csv").read_text() == expected.read_text()
+    # the CLI writes each number with 12 significant digits
+    lines = (out / "stokes.csv").read_text().splitlines()[1:]
+    assert lines == [",".join(c if isinstance(c, str) else f"{float(c):.12g}" for c in row)
+                     for row in rows]
 
 
 class TestExitCodes:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oamclone import cloning, elements, qudit
+from oamclone import cloning, elements, fock
 from oamclone.cloning import (
     QubitSpec,
     haar_random_qubit,
@@ -12,7 +12,49 @@ from oamclone.cloning import (
     stokes_vector,
     universality_sweep,
 )
-from oamclone.fock import ConfigurationError, DensityOperator, InvalidStateError
+from oamclone.fock import ConfigurationError, InvalidStateError
+from fresh_process import run_fresh
+
+NOT_DENSITY = [
+    [[1.2, 0.0], [0.0, -0.2]],  # trace 1 and Hermitian, but det < 0
+    [[0.5, 0.1], [0.0, 0.5]],  # not Hermitian
+    [[0.6, 0.0], [0.0, 0.5]],  # trace 1.1
+    [[0.6, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, -0.2]],  # d = 3, an eigenvalue < 0
+]
+# Plants each NOT_DENSITY matrix as every density the package builds (the
+# clone among them) and prints what the qubit (2 x 2 only) and qudit front
+# ends refuse with: InvalidStateError's message, or None if they return.
+PLANTED_CLONE = f"""
+import numpy as np
+from oamclone import cloning, fock, qudit
+from oamclone.fock import InvalidStateError
+density = fock.DensityOperator
+refusals = []
+for bad in {NOT_DENSITY!r}:
+    class Planted(density):
+        def __post_init__(self):
+            self.matrix = np.array(bad, dtype=complex)
+
+    fock.DensityOperator = Planted
+    qubit = refused(lambda: cloning.run_cloner_full(cloning.QubitSpec.named("h")),
+                    InvalidStateError) if len(bad) == 2 else None
+    refusals.append([qubit, refused(lambda: qudit.qudit_clone(qudit.QuditSpec(np.ones(len(bad)))),
+                                    InvalidStateError)])
+print(json.dumps(refusals))
+"""
+
+
+def clone_with_pure_ancilla(q: QubitSpec):
+    """Clone ``q`` on path a with ``q`` itself on b, through the per-branch
+    route (``elements.coalesce`` on ``cloning.embed_qubit`` states): the a' clone
+    in label order, its single-port success probability and its fidelity."""
+    basis = cloning.cloner_basis()
+    rho, success = elements.coalesce(cloning.embed_qubit(q, basis, "a"),
+                                     [(cloning.embed_qubit(q, basis, "b"), 1.0)], "a_prime")
+    order = [rho.basis.index(mode) for mode in cloning.label_modes(2, "a_prime")]
+    clone = rho.matrix[np.ix_(order, order)]
+    amps = q.vector()
+    return clone, success, float(np.real(amps.conj() @ clone @ amps))
 
 
 class TestQubitSpec:
@@ -104,45 +146,40 @@ class TestOptimalCloning:
         # with the ancilla prepared in the same flip-symmetric state the two
         # photons fully coalesce and the post-selected photon is unchanged
         for label in ("h", "v"):
-            amps = QubitSpec.named(label).vector()
-            clone, success, fidelity = cloning._clone(amps, "a_prime", [(amps, 1.0)])
+            q = QubitSpec.named(label)
+            clone, success, fidelity = clone_with_pure_ancilla(q)
             assert fidelity == pytest.approx(1.0, abs=1e-12)
             assert success == pytest.approx(0.5, abs=1e-12)
-            assert np.allclose(clone.matrix, np.outer(amps, amps.conj()), atol=1e-12)
+            assert np.allclose(clone, np.outer(q.vector(), q.vector().conj()), atol=1e-12)
 
     def test_orthogonal_flipped_ancilla_passes_unenhanced(self):
         # ancilla |+2> against input |+2>: reflections make them orthogonal
-        amps = QubitSpec.named("plus2").vector()
-        _, success, _ = cloning._clone(amps, "a_prime", [(amps, 1.0)])
+        _, success, _ = clone_with_pure_ancilla(QubitSpec.named("plus2"))
         assert success == pytest.approx(0.25, abs=1e-12)
 
     def test_bad_port_rejected(self):
         with pytest.raises(ConfigurationError):
             run_cloner_full(QubitSpec.named("h"), port="c")
 
-    @pytest.mark.parametrize("bad", [
-        [[1.2, 0.0], [0.0, -0.2]],  # trace 1 and Hermitian, but det < 0
-        [[0.5, 0.1], [0.0, 0.5]],  # not Hermitian
-        [[0.6, 0.0], [0.0, 0.5]],  # trace 1.1
-        [[0.6, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.0, -0.2]],  # d = 3, an eigenvalue < 0
-    ])
-    def test_clone_that_is_not_a_density_matrix_is_rejected(self, monkeypatch, bad):
-        def broken_coalesce(psi_a, ancillas, port):
-            return DensityOperator(psi_a.basis.port(port)[0], np.array(bad)), 0.375
+    @pytest.mark.parametrize("bad", NOT_DENSITY)
+    def test_clone_that_is_not_a_density_matrix_is_rejected(self, bad):
+        qubit, qudit = run_fresh(PLANTED_CLONE)[NOT_DENSITY.index(bad)]
+        for refusal in [qubit] * (len(bad) == 2) + [qudit]:
+            assert refusal is not None and "not a density matrix" in refusal
 
-        monkeypatch.setattr(elements, "coalesce", broken_coalesce)
-        if len(bad) == 2:
-            with pytest.raises(InvalidStateError, match="not a density matrix"):
-                run_cloner_full(QubitSpec.named("h"))
-        with pytest.raises(InvalidStateError, match="not a density matrix"):
-            qudit.qudit_clone(qudit.QuditSpec(np.ones(len(bad))))
-
-    def test_one_cached_ancilla_serves_every_exact_qubit_run(self):
-        cloning.label_states.cache_clear()
+    def test_one_cached_ancilla_serves_every_exact_qubit_run(self, monkeypatch):
+        # a warm exact run builds no ancilla state, at most its input on path a
         run_cloner_full(QubitSpec.named("h"))
+        build, built = fock.superposition_state, []
+
+        def recording(basis, terms):
+            built.append(list(terms))
+            return build(basis, built[-1])
+
+        monkeypatch.setattr(fock, "superposition_state", recording)
         run_cloner_full(QubitSpec.named("v"))
-        info = cloning.label_states.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert len(built) <= 1
+        assert all(mode.path == "a" for terms in built for mode, _ in terms)
 
 
 class TestUniversality:

@@ -3,11 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from oamclone import cloning, elements, fock, interference, qudit
+from oamclone import cloning, elements, fock
 from oamclone.elements import apply, beam_splitter
 from oamclone.fock import ModeIndex, PhotonState, build_basis, superposition_state
-from oamclone.qubit import QubitSpec
 from pair_reference import pair_amplitude, pair_amplitudes, photon_amplitude
+from fresh_process import cold_census, run_fresh
+
+# Plants a splitter whose reflection phase is 1 in place of i, so it is not
+# unitary, and prints what the qubit cloner, the d = 3 qudit cloner and the
+# HOM overlap refuse with: ConfigurationError's message, or None.
+NON_UNITARY_SPLITTER = """
+import numpy as np
+from oamclone import cloning, elements, interference, qudit
+from oamclone.fock import ConfigurationError, ModeIndex, superposition_state
+build = elements.beam_splitter
+
+
+def reflection_phase_one(basis):
+    return elements.ElementOperator(basis, np.abs(build(basis).matrix))  # i/sqrt(2) -> 1/sqrt(2)
+
+
+elements.beam_splitter = reflection_phase_one
+basis = cloning.cloner_basis()
+pa, pb = (superposition_state(basis, [(ModeIndex(path, "L", 2), 1.0)]) for path in ("a", "b"))
+calls = [lambda: cloning.run_cloner_full(cloning.QubitSpec.named("h")),
+         lambda: qudit.qudit_clone(qudit.QuditSpec(np.ones(3))),
+         lambda: interference.internal_overlap(pa, pb)]
+print(json.dumps([refused(call, ConfigurationError) for call in calls]))
+"""
 
 
 def pol_basis():
@@ -75,30 +98,10 @@ class TestBeamSplitter:
             out = apply(bs, two)
             assert abs(out.norm() - 1.0) < 1e-10
 
-    def test_cached_splitters_are_checked_for_unitarity(self, monkeypatch):
-        build = elements.beam_splitter
-
-        def reflection_phase_one(basis):
-            m = build(basis).matrix
-            return elements.ElementOperator(basis, np.abs(m))  # i/sqrt(2) -> 1/sqrt(2)
-
-        caches = (elements.splitter, cloning.label_basis)
-        monkeypatch.setattr(elements, "beam_splitter", reflection_phase_one)
-        for cache in caches:
-            cache.cache_clear()
-        basis = cloning.cloner_basis()
-        pa, pb = (superposition_state(basis, [(ModeIndex(path, "L", 2), 1.0)])
-                  for path in ("a", "b"))
-        try:
-            with pytest.raises(fock.ConfigurationError, match="not unitary"):
-                cloning.run_cloner_full(QubitSpec.named("h"))
-            with pytest.raises(fock.ConfigurationError, match="not unitary"):
-                qudit.qudit_clone(qudit.QuditSpec(np.ones(3)))
-            with pytest.raises(fock.ConfigurationError, match="not unitary"):
-                interference.internal_overlap(pa, pb)
-        finally:
-            for cache in caches:
-                cache.cache_clear()
+    def test_cached_splitters_are_checked_for_unitarity(self):
+        # the planted splitter reaches each scenario's first call in a cold process
+        for refusal in run_fresh(NON_UNITARY_SPLITTER):
+            assert refusal is not None and "not unitary" in refusal
 
     def test_missing_paths_rejected(self):
         with pytest.raises(fock.ConfigurationError):
@@ -130,16 +133,13 @@ class TestCoalesce:
                 elements.coalesce(pa, ancillas, "a_prime")
 
     def test_one_checked_splitter_serves_every_scenario(self):
-        basis = cloning.cloner_basis()
-        assert basis is cloning.label_basis(2)
-        pa, pb = (superposition_state(basis, [(ModeIndex(path, "L", 2), 1.0)])
-                  for path in ("a", "b"))
-        elements.splitter.cache_clear()
-        interference.internal_overlap(pa, pb)
-        cloning.run_cloner_full(QubitSpec.named("h"))
-        qudit.qudit_clone(qudit.QuditSpec(np.ones(2)))
-        info = elements.splitter.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert cloning.cloner_basis() is cloning.label_basis(2)
+        # cold: the HOM overlap checks the d = 2 splitter, and the qubit and the
+        # d = 2 qudit clones check none
+        first = cold_census()[:3]
+        assert [(call["kind"], call["d"]) for call in first] \
+            == [("overlap", 2), ("qubit", 2), ("qudit", 2)]
+        assert [call["validates"] for call in first] == [1, 0, 0]
 
 
 class TestApply:
@@ -165,8 +165,9 @@ class TestApply:
 
     @pytest.mark.parametrize("occupied", [1, 25, 96])
     def test_at_the_gather_size_the_product_matches_the_dense_one(self, occupied):
+        # the d = 24 qudit's basis, where a branch occupies 25 of the 96 modes
         basis, labels = cloning.label_basis(24), cloning.oam_labels(24)
-        assert basis.size == 96 >= elements.GATHER_MIN_MODES
+        assert basis.size == 96
         bs = elements.splitter(basis)
         rng = np.random.default_rng(occupied)
         ancilla = superposition_state(basis, [(ModeIndex("b", "L", labels[7]), 1.0)])
@@ -186,7 +187,7 @@ class TestApply:
 
     def test_below_the_gather_size_the_product_is_the_dense_one(self):
         basis = cloning.cloner_basis()
-        assert basis.size < elements.GATHER_MIN_MODES
+        assert basis.size == 8
         bs = elements.splitter(basis)
         rng = np.random.default_rng(37)
         two = fock.symmetrize_product(_random_state(basis, rng), _random_state(basis, rng))

@@ -10,6 +10,7 @@ from oamclone.qudit import (
     qudit_formula,
     symmetric_subspace_clone,
 )
+from fresh_process import cold_census
 
 
 def random_qudit(d, rng):
@@ -162,59 +163,55 @@ class TestOamLabels:
         assert cloning.label_basis(2) is cloning.cloner_basis()
 
     def test_the_qubit_and_the_d2_qudit_share_one_ancilla_entry(self):
-        q = qubit.haar_random_qubit(np.random.default_rng(9))
-        cloning.label_states.cache_clear()
-        cloning.run_cloner_full(q)
-        qudit_clone(QuditSpec([q.alpha, q.beta]))
-        info = cloning.label_states.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        # cold: after a qubit clone the d = 2 qudit clone builds no ancilla
+        # state, at most its input
+        qubit_run, qudit_run = cold_census()[1:3]
+        assert (qubit_run["kind"], qudit_run["kind"], qudit_run["d"]) == ("qubit", "qudit", 2)
+        assert qudit_run["states"] <= 1
 
     def test_optics_are_cached_per_d(self):
-        elements.splitter.cache_clear()
-        rng = np.random.default_rng(8)
-        for _ in range(2):
-            for d in (2, 3, 4):
-                res = qudit_clone(random_qudit(d, rng))
-                f, p = qudit_formula(d)
-                assert res.fidelity == pytest.approx(f, abs=1e-10)
-                assert res.success_probability == pytest.approx(p, abs=1e-10)
-        info = elements.splitter.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+        # cold: the splitter is checked on the first clone at each d, and not again
+        census = cold_census()
+        assert [(call["d"], call["validates"]) for call in census[3:]] \
+            == [(2, 0), (3, 1), (4, 1), (2, 0), (3, 0), (4, 0)]
+        assert sum(call["validates"] for call in census) == 3
+        for call in census[3:]:
+            f, p = qudit_formula(call["d"])
+            assert call["fidelity"] == pytest.approx(f, abs=1e-10)
+            assert call["success"] == pytest.approx(p, abs=1e-10)
 
 
 class TestLabelStates:
     @pytest.mark.parametrize("d", [2, 4])
     def test_cached_states_equal_fresh_ones(self, d):
-        basis = cloning.label_basis(d)
-        states = cloning.label_states(d)
-        qudit_clone(QuditSpec(np.ones(d)))
-        assert states is cloning.label_states(d)  # the clone used this entry
-        for m, psi in zip(cloning.oam_labels(d), states):
-            fresh = fock.superposition_state(basis, [(fock.ModeIndex("b", "L", m), 1.0)])
-            assert psi.basis == basis
-            assert np.array_equal(psi.amplitudes, fresh.amplitudes)
-
-    @pytest.mark.parametrize("d", [2, 4])
-    def test_cached_amplitudes_are_read_only(self, d):
-        psi = cloning.label_states(d)[0]
-        with pytest.raises(ValueError, match="read-only"):
-            psi.amplitudes[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            psi.amplitudes *= 2.0
-        assert np.count_nonzero(psi.amplitudes) == 1
+        # the I/d ancilla is the label states |b, m>, weight 1/d: the clone
+        # equals the one that freshly built label states give per branch
+        basis, labels = cloning.label_basis(d), cloning.oam_labels(d)
+        phi = random_qudit(d, np.random.default_rng(70 + d)).amplitudes
+        psi = fock.superposition_state(basis, [(fock.ModeIndex("a", "L", m), c)
+                                               for m, c in zip(labels, phi)])
+        fresh = [(fock.superposition_state(basis, [(fock.ModeIndex("b", "L", m), 1.0)]), 1.0 / d)
+                 for m in labels]
+        rho, success = elements.coalesce(psi, fresh, "a_prime")
+        order = [rho.basis.index(fock.ModeIndex("a_prime", "L", m)) for m in labels]
+        res = qudit_clone(QuditSpec(phi))
+        assert np.max(np.abs(res.clone_density.matrix - rho.matrix[np.ix_(order, order)])) < 1e-12
+        assert res.success_probability == pytest.approx(2.0 * success, abs=1e-12)
 
     def test_a_warm_call_builds_only_the_input(self, monkeypatch):
+        # no ancilla state is rebuilt: at most the input, on path a
         spec = random_qudit(3, np.random.default_rng(5))
         first = qudit_clone(spec)
         build, built = fock.superposition_state, []
 
-        def counting(basis, terms):
-            built.append(terms)
-            return build(basis, terms)
+        def recording(basis, terms):
+            built.append(list(terms))
+            return build(basis, built[-1])
 
-        monkeypatch.setattr(fock, "superposition_state", counting)
+        monkeypatch.setattr(fock, "superposition_state", recording)
         again = qudit_clone(spec)
-        assert len(built) == 1
+        assert len(built) <= 1
+        assert all(mode.path == "a" for terms in built for mode, _ in terms)
         assert np.array_equal(again.clone_density.matrix, first.clone_density.matrix)
 
 

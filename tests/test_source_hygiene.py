@@ -1,10 +1,11 @@
 """Every name a package module imports is used, unless its import says ``# noqa``,
-no package module imports the benchmark, and ``build_basis``, ``ModeIndex`` and the
-one coalescence pipeline keep their callers.
+no package module imports the benchmark, ``build_basis``, ``ModeIndex`` and the
+one coalescence pipeline keep their callers, and no other test module names a
+package internal.
 
 Lint checks in the standard library only: the source is parsed with ``ast``,
 and an imported name counts as used when it appears as a name anywhere in
-the module.
+the module.  This module is the one place that pins internal names.
 """
 
 import ast
@@ -12,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "oamclone"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "oamclone"
+PACKAGE_MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__", "__main__"}
+# names a test may not read on anything: a cache's handles and apply's size switch
+INTERNAL_NAMES = {"cache_info", "cache_clear", "GATHER_MIN_MODES"}
 BENCHMARK_MODULES = {"perfbench", "spans", "workloads", "checks"}
 # function -> the (module file, function) pairs that may call it: every cloner
 # goes through the core, the HOM overlap reads the same coalescence, and a mode
@@ -138,3 +143,79 @@ def test_the_caller_check_sees_every_call_form():
               "        return build_basis\n")
     assert callers(source, "build_basis") == ["<module>", "g"]
     assert callers(source, "coalesce") == ["f", "inner"]
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def internal_reads(source: str):
+    """(line, name) of each package internal that ``source`` reads: a private
+    attribute of ``oamclone`` or one of its modules (``<module>._name``, ``from
+    oamclone.<module> import _name``, ``getattr``/``setattr(<module>, "_name")``),
+    and any name in ``INTERNAL_NAMES``.
+    """
+    tree = ast.parse(source)
+    modules = set()  # local names bound to the package or one of its modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or "oamclone" for alias in node.names
+                        if alias.name.split(".")[0] == "oamclone"}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] == "oamclone":
+            for alias in node.names:
+                if node.module == "oamclone" and alias.name in PACKAGE_MODULES:
+                    modules.add(alias.asname or alias.name)
+                if is_private(alias.name) or alias.name in INTERNAL_NAMES:
+                    found.append((node.lineno, alias.name))
+
+    def is_module(node):
+        if isinstance(node, ast.Name):
+            return node.id in modules
+        return isinstance(node, ast.Attribute) and node.attr in PACKAGE_MODULES \
+            and is_module(node.value)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr in INTERNAL_NAMES or is_private(node.attr) and is_module(node.value):
+                found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in INTERNAL_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = node.args[1]
+            if called in ("getattr", "setattr", "delattr", "hasattr") \
+                    and is_module(node.args[0]) and isinstance(name, ast.Constant) \
+                    and isinstance(name.value, str) \
+                    and (is_private(name.value) or name.value in INTERNAL_NAMES):
+                found.append((node.lineno, name.value))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(path for path in TESTS.glob("*.py") if path.name != Path(__file__).name),
+    ids=lambda p: p.name)
+def test_tests_name_no_package_internal(path):
+    assert internal_reads(path.read_text()) == []
+
+
+def test_the_internal_check_sees_every_read_form():
+    source = ("import oamclone\n"
+              "import oamclone.fock as f\n"
+              "from oamclone import cloning, elements as el, ModeIndex\n"
+              "from oamclone.cloning import _clone, label_basis\n"
+              "from oamclone.elements import GATHER_MIN_MODES\n"
+              "x = oamclone._EXPORTS + oamclone.__version__ + ModeIndex._fields\n"
+              "y = f._private + f.__name__ + oamclone.fock._z + self._helper()\n"
+              "el.splitter.cache_clear()\n"
+              "info = cloning.label_states.cache_info()\n"
+              "n = el.GATHER_MIN_MODES\n"
+              "def test(monkeypatch):\n"
+              "    monkeypatch.setattr(cloning, '_label_port', None)\n"
+              "    return getattr(el, '__doc__'), getattr(cloning, 'label_modes')\n")
+    assert internal_reads(source) == [
+        (4, "_clone"), (5, "GATHER_MIN_MODES"), (6, "_EXPORTS"), (7, "_private"),
+        (7, "_z"), (8, "cache_clear"), (9, "cache_info"), (10, "GATHER_MIN_MODES"),
+        (12, "_label_port")]
