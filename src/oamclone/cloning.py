@@ -9,8 +9,9 @@ each carries the clone.  The OAM qubit on {+2, -2} is the d = 2 case: fidelity
 Two independent routes compute the qubit channel: ``run_cloner_full`` evolves
 the two-photon state through the beam-splitter unitary, ``run_cloner_projector``
 projects the input (x) ancilla pair on the symmetric subspace (numpy only).
-The core checks every clone, for every d, with ``DensityOperator.validate``, returns
-it in label order (``label_modes``) and scores it once: the fidelity <phi|C|phi>.
+The basis lists each path in label order (``label_basis``), so the port block that
+``coalesce`` returns is the clone in label order; the core checks it, for every d, with
+``DensityOperator.validate`` and scores it once: the fidelity <phi|C|phi>.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elements, fock
-from .fock import ConfigurationError, ModeBasis, ModeIndex, PhotonState, build_basis
+from .fock import ConfigurationError, ModeBasis, ModeIndex, PhotonState
 from .qubit import SIX_STATE_AMPLITUDES, QubitSpec, haar_random_qubit, stokes_vector
 
 _POL = "L"  # both photons share one polarization; the labels are OAM only
@@ -54,23 +55,15 @@ def oam_labels(d: int) -> tuple:
 
 @functools.lru_cache(maxsize=32)
 def label_basis(d: int) -> ModeBasis:
-    """The four-path basis over ``oam_labels(d)``, built once per d."""
-    return build_basis(("a", "b", "a_prime", "b_prime"), oam_labels(d), pols=(_POL,))
+    """The four-path basis over ``oam_labels(d)``, built once per d: each path in label
+    order, mode m on a, b and a' and -m on b' (reached by reflection), so each port too."""
+    return ModeBasis(ModeIndex(path, _POL, -m if path == "b_prime" else m)
+                     for path in fock.PATHS for m in oam_labels(d))
 
 
-@functools.lru_cache(maxsize=128)
 def label_modes(d: int, path: str) -> tuple:
-    """The modes that carry the labels ``oam_labels(d)`` on ``path``, in label order:
-    mode m on a, b and a', and -m on b', which the input reaches by reflection."""
-    sign = -1 if path == "b_prime" else 1
-    return tuple(ModeIndex(path, _POL, sign * m) for m in oam_labels(d))
-
-
-@functools.lru_cache(maxsize=64)
-def _label_port(d: int, port: str):
-    """(``port``'s sub-basis in label order, the ``np.ix_`` index that puts its block in it)."""
-    idx = [label_basis(d).port(port)[0].index(mode) for mode in label_modes(d, port)]
-    return ModeBasis(label_modes(d, port)), np.ix_(idx, idx)
+    """The modes that carry the labels ``oam_labels(d)`` on ``path``, in label order."""
+    return label_basis(d).port(path)[0].modes
 
 
 def cloner_basis() -> ModeBasis:
@@ -106,8 +99,7 @@ def _clone(amps, port: str, ancillas=None):
                     for chi, w in ancillas)
     rho, success = elements.coalesce(
         fock.superposition_state(basis, zip(label_modes(d, "a"), amps)), ensemble, port)
-    sub, idx = _label_port(d, port)
-    clone = fock.DensityOperator(sub, rho.matrix[idx]).validate()
+    clone = rho.validate()
     amps = np.asarray(amps, dtype=complex)
     return clone, success, float(np.real(amps.conj() @ clone.matrix @ amps))
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oamclone import cloning, elements, fock
+from oamclone import cloning, elements, fock, qudit
 from oamclone.elements import apply, beam_splitter
 from oamclone.fock import ModeIndex, PhotonState, build_basis, superposition_state
 from pair_reference import pair_amplitude, pair_amplitudes, photon_amplitude
@@ -113,16 +113,27 @@ class TestBeamSplitter:
 
 
 class TestCoalesce:
-    def test_clone_is_over_the_port_in_ascending_oam_order(self):
-        basis = cloning.cloner_basis()
-        plus2, minus2 = ({path: superposition_state(basis, [(ModeIndex(path, "L", m), 1.0)])
-                          for path in ("a", "b")} for m in (2, -2))
-        rho, success = elements.coalesce(plus2["a"], [(plus2["b"], 0.5), (minus2["b"], 0.5)],
-                                         "a_prime")
-        assert rho.basis == basis.port("a_prime")[0]
-        assert [m.oam for m in rho.basis.modes] == [-2, 2]
-        assert np.allclose(rho.matrix, np.diag([1.0 / 6.0, 5.0 / 6.0]), atol=1e-12)
-        assert success == pytest.approx(3.0 / 8.0, abs=1e-12)
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 24])
+    def test_port_blocks_and_the_clone_are_in_label_order(self, d):
+        basis, labels = cloning.label_basis(d), cloning.oam_labels(d)
+        eye, rev = np.eye(d), np.eye(d)[::-1]
+        # rows a', b' by columns a, b: transmission keeps the label, reflection
+        # sends label k to d - 1 - k, the mode of -m
+        assert np.array_equal(elements.splitter(basis).matrix[2 * d:, :2 * d],
+                              np.block([[eye, 1j * rev], [1j * eye, rev]]) / math.sqrt(2.0))
+        port = basis.port("a_prime")[0]
+        assert qudit.qudit_clone(qudit.QuditSpec(np.ones(d))).clone_density.basis == port
+        # the label-0 input with the I/d ancilla: F on label 0, (1 - F)/(d - 1) elsewhere
+        first = superposition_state(basis, [(ModeIndex("a", "L", labels[0]), 1.0)])
+        ancillas = [(superposition_state(basis, [(ModeIndex("b", "L", m), 1.0)]), 1.0 / d)
+                    for m in labels]
+        rho, success = elements.coalesce(first, ancillas, "a_prime")
+        f, p = qudit.qudit_formula(d)
+        assert rho.basis == port
+        assert [mode.oam for mode in rho.basis.modes] == list(labels)  # [2, -2] at d = 2
+        rest = (1.0 - f) / max(d - 1, 1)
+        assert np.allclose(rho.matrix, np.diag([f] + [rest] * (d - 1)), atol=1e-12)
+        assert success == pytest.approx(p / 2.0, abs=1e-12)
 
     def test_no_post_selected_weight_is_rejected(self):
         basis = cloning.cloner_basis()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oamclone import elements, fock
-from oamclone.cloning import oam_labels
+from oamclone.cloning import label_basis
 from oamclone.fock import (
     ConfigurationError,
     InvalidStateError,
@@ -61,11 +61,6 @@ def _loop_project_keys(amps, modes, path):
     return {k: a * scale for k, a in kept.items()}, prob
 
 
-def _cloner_paths_basis(d):
-    """The cloner's basis over d OAM labels: the qubit's (-2, 2) at d = 2."""
-    return build_basis(("a", "b", "a_prime", "b_prime"), oam_labels(d), pols=("L",))
-
-
 def _photon(basis, rng, modes):
     v = np.zeros(basis.size, dtype=complex)
     v[modes] = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
@@ -99,13 +94,13 @@ def _assert_close_pairs(state, reference, tol=TOL):
 @pytest.mark.parametrize("d", [2, 24], ids=["n=8", "n=96"])
 class TestKernelsMatchTheLoopReference:
     def test_symmetrize_product(self, d):
-        basis = _cloner_paths_basis(d)
+        basis = label_basis(d)
         for pa, pb in _photon_pairs(basis, np.random.default_rng(d)):
             _assert_close_pairs(symmetrize_product(pa, pb),
                                 dense_symmetrization_oracle(pa, pb))
 
     def test_project_keys(self, d):
-        basis = _cloner_paths_basis(d)
+        basis = label_basis(d)
         bs = elements.beam_splitter(basis)
         for pa, pb in _photon_pairs(basis, np.random.default_rng(d + 3)):
             out = elements.apply(bs, symmetrize_product(pa, pb))

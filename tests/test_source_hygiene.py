@@ -20,12 +20,13 @@ PACKAGE_MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__", "__mai
 INTERNAL_NAMES = {"cache_info", "cache_clear", "GATHER_MIN_MODES"}
 BENCHMARK_MODULES = {"perfbench", "spans", "workloads", "checks"}
 # function -> the (module file, function) pairs that may call it: every cloner
-# goes through the core, the HOM overlap reads the same coalescence, and a mode
-# is named only by the basis, the splitter and the one label-to-mode map
+# goes through the core, the HOM overlap reads the same coalescence, a mode is
+# named only by the general basis, the splitter and the cloner's label-order
+# basis, and the general basis serves only tests and the package's users
 ALLOWED_CALLERS = {
-    "build_basis": {("cloning.py", "label_basis")},
+    "build_basis": set(),
     "ModeIndex": {("fock.py", "build_basis"), ("elements.py", "beam_splitter"),
-                  ("cloning.py", "label_modes")},
+                  ("cloning.py", "label_basis")},
     "coalesce": {("cloning.py", "_clone"), ("interference.py", "internal_overlap")},
 }
 
@@ -213,9 +214,9 @@ def test_the_internal_check_sees_every_read_form():
               "info = cloning.label_states.cache_info()\n"
               "n = el.GATHER_MIN_MODES\n"
               "def test(monkeypatch):\n"
-              "    monkeypatch.setattr(cloning, '_label_port', None)\n"
+              "    monkeypatch.setattr(cloning, '_ancilla_states', None)\n"
               "    return getattr(el, '__doc__'), getattr(cloning, 'label_modes')\n")
     assert internal_reads(source) == [
         (4, "_clone"), (5, "GATHER_MIN_MODES"), (6, "_EXPORTS"), (7, "_private"),
         (7, "_z"), (8, "cache_clear"), (9, "cache_info"), (10, "GATHER_MIN_MODES"),
-        (12, "_label_port")]
+        (12, "_ancilla_states")]
