@@ -1,4 +1,4 @@
-"""The 1 -> 2 symmetrization cloner, one core for every dimension d.
+"""The 1 -> 2 symmetrization cloner, one core (``label_clone``) for every dimension d.
 
 The input photon enters path a over the d OAM labels ``oam_labels(d)``, each
 state of the I/d ancilla mixture enters path b, and the runs where both photons
@@ -8,7 +8,8 @@ each carries the clone.  The OAM qubit on {+2, -2} is the d = 2 case: fidelity
 
 Two independent routes compute the qubit channel: ``run_cloner_full`` evolves
 the two-photon state through the beam-splitter unitary, ``run_cloner_projector``
-projects the input (x) ancilla pair on the symmetric subspace (numpy only).
+projects the input (x) ancilla pair on the symmetric subspace
+(``symmetric_subspace_clone``, numpy only, the package's one oracle).
 The basis lists each path in label order (``label_basis``), so the port block that
 ``coalesce`` returns is the clone in label order; the core checks it, for every d, with
 ``DensityOperator.validate`` and scores it once: the fidelity <phi|C|phi>.
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import elements, fock
-from .fock import ConfigurationError, ModeBasis, ModeIndex, PhotonState
+from . import ConfigurationError, elements, fock
+from .fock import ModeBasis, ModeIndex, PhotonState
 from .qubit import SIX_STATE_AMPLITUDES, QubitSpec, haar_random_qubit, stokes_vector
 
 _POL = "L"  # both photons share one polarization; the labels are OAM only
@@ -85,7 +86,7 @@ def label_states(d: int) -> tuple:
     return states
 
 
-def _clone(amps, port: str, ancillas=None):
+def label_clone(amps, port: str, ancillas=None):
     """Clone ``amps`` over ``oam_labels(len(amps))`` on path a with ``ancillas``, each
     (amplitudes in label order, weight) on b; None is I/d over the cached
     ``label_states``.  Returns (the clone over the port's modes in label order, checked by
@@ -131,7 +132,7 @@ def run_cloner_full(qubit: QubitSpec, n_ancilla_samples: int | None = None,
     ancillas = None  # the core's exact I/2
     if n_ancilla_samples is not None:
         ancillas = _ancilla_states(n_ancilla_samples, seed)
-    clone, success, fidelity = _clone((qubit.alpha, qubit.beta), port, ancillas)
+    clone, success, fidelity = label_clone((qubit.alpha, qubit.beta), port, ancillas)
     return CloneResult(clone.matrix, float(success), fidelity, stokes_vector(clone.matrix))
 
 
@@ -143,7 +144,6 @@ def run_cloner_projector(qubit: QubitSpec, n_ancilla_samples: int | None = None,
     pair there is projected from rho (x) X sigma X; half of the coalescing
     pairs exit in a'.
     """
-    from .qudit import symmetric_subspace_clone
     sigma = np.eye(2) / 2 if n_ancilla_samples is None else sum(
         w * np.outer(chi, np.conj(chi))[::-1, ::-1]  # X sigma X
         for chi, w in _ancilla_states(n_ancilla_samples, seed))
@@ -151,6 +151,26 @@ def run_cloner_projector(qubit: QubitSpec, n_ancilla_samples: int | None = None,
     clone, p = symmetric_subspace_clone(np.outer(target, target.conj()), sigma)
     fidelity = float(np.real(target.conj() @ clone @ target))
     return CloneResult(clone, p / 2.0, fidelity, stokes_vector(clone))
+
+
+def symmetric_subspace_clone(rho: np.ndarray, sigma: np.ndarray):
+    """Werner's optimal 1 -> 2 cloner: project rho (x) sigma on the symmetric subspace.
+
+    With P = (I + SWAP)/2 on C^d (x) C^d, returns the reduced one-photon
+    state clone = Tr_2[P (rho (x) sigma) P] / p and p = Tr[P (rho (x) sigma) P],
+    the probability that the pair is symmetric, i.e. coalesces onto one port
+    of a balanced splitter (Werner, PRA 58, 1827 (1998); Buzek & Hillery,
+    PRA 54, 1844 (1996)).  numpy only, so it checks the Fock-space
+    simulator without sharing any of its code.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    d = rho.shape[0]
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    sym = (np.eye(d * d) + swap) / 2.0
+    pair = sym @ np.kron(rho, sigma) @ sym
+    p = float(np.real(np.trace(pair)))
+    clone = np.trace(pair.reshape(d, d, d, d), axis1=1, axis2=3) / p
+    return clone, p
 
 
 @dataclass

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
-from .fock import (BasisMismatchError, ConfigurationError, DensityOperator, ModeBasis,
-                   ModeIndex, PhotonState, TwoPhotonState)
+from . import BasisMismatchError, ConfigurationError, fock
+from .fock import DensityOperator, ModeBasis, ModeIndex, PhotonState, TwoPhotonState
 
 UNITARY_ATOL = 1e-10
 # best of 7 x 500, dense vs gathered (us), qudit branch on d + 1 modes, eight runs
@@ -116,11 +115,14 @@ def coalesce(psi_a: PhotonState, ancillas, port: str):
     Returns the one-photon state over the port's sub-basis, averaged over the
     ancillas ``(psi_b, w)`` (any iterable, read once) with weights w_k p_k,
     and the success probability sum_k w_k p_k; ConfigurationError if that is 0.
+    A pair that never reaches the port (p_k = 0) adds nothing and is skipped.
     """
     bs = splitter(psi_a.basis)
     success = acc = 0.0
     for psi_b, w in ancillas:
         kept, prob = fock.project_keys(apply(bs, fock.symmetrize_product(psi_a, psi_b)), port)
+        if prob == 0.0:
+            continue
         acc = acc + (w * prob) * fock.reduced_single_pure(kept).matrix
         success += w * prob
     if success == 0.0:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import (BasisMismatchError, ConfigurationError, FockError,  # noqa: F401
-               InvalidStateError)
+from . import BasisMismatchError, ConfigurationError, InvalidStateError
 
 PATHS = ("a", "b", "a_prime", "b_prime")
 POLS = ("L", "R")
@@ -27,7 +26,7 @@ HERM_ATOL = 1e-12
 PSD_ATOL = 1e-10
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ModeIndex:
     path: str
     pol: str

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import elements
-from .fock import ConfigurationError, PhotonState
+from . import ConfigurationError, elements
+from .fock import PhotonState
 
 KAPPA = math.pi ** 2 / (4.0 * math.log(2.0))
 
@@ -97,7 +97,6 @@ def coincidence_expectation(psi_a: PhotonState, psi_b: PhotonState,
 class DelayScan:
     """HOM scan result: per-delay coincidences and the enhancement ratio."""
 
-    delays: np.ndarray
     coincidences: np.ndarray
     ratio: float
 
@@ -113,4 +112,4 @@ def hom_curve(psi_a: PhotonState, psi_b: PhotonState, delays,
         raise ConfigurationError("empty delay scan")
     v = temporal_overlap(delays, profile)
     mu = internal_overlap(psi_a, psi_b)
-    return DelayScan(delays, 1.0 + v * v * mu, 1.0 + mu)
+    return DelayScan(1.0 + v * v * mu, 1.0 + mu)

@@ -1,6 +1,6 @@
 """Symmetrization cloning generalized to d-dimensional OAM states.
 
-``qudit_clone`` runs the core of ``cloning`` over the d OAM labels
+``qudit_clone`` runs the core ``cloning.label_clone`` over the d OAM labels
 ``cloning.oam_labels(d)``, whose d = 2 case is the OAM qubit on {+2, -2}; the
 splitter flips OAM on reflection, as for the qubit.  The input meets each label
 state |b, m_k> of the ancilla, weight 1/d.  The clone is linear in the ancilla
@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloning import _clone
-from .fock import ConfigurationError, DensityOperator
+from . import ConfigurationError
+from .cloning import label_clone, symmetric_subspace_clone
+from .fock import DensityOperator
 
 # brute_force_oracle's cap, read by the benchmark checks; its pair operator is
-# d^2 x d^2, so checks at larger d call symmetric_subspace_clone directly
+# d^2 x d^2, so checks at larger d call cloning.symmetric_subspace_clone directly
 MAX_ORACLE_DIM = 8
 
 
@@ -63,29 +64,9 @@ def qudit_formula(d: int):
 
 def qudit_clone(spec: QuditSpec) -> QuditCloneResult:
     """Run the symmetrization channel with the I_d/d ancilla over its label states."""
-    clone, success, fidelity = _clone(spec.amplitudes, "a_prime")
+    clone, success, fidelity = label_clone(spec.amplitudes, "a_prime")
     # both BS ports contribute equally; quote the combined success probability
     return QuditCloneResult(fidelity, 2.0 * success, clone)
-
-
-def symmetric_subspace_clone(rho: np.ndarray, sigma: np.ndarray):
-    """Werner's optimal 1 -> 2 cloner: project rho (x) sigma on the symmetric subspace.
-
-    With P = (I + SWAP)/2 on C^d (x) C^d, returns the reduced one-photon
-    state clone = Tr_2[P (rho (x) sigma) P] / p and p = Tr[P (rho (x) sigma) P],
-    the probability that the pair is symmetric, i.e. coalesces onto one port
-    of a balanced splitter (Werner, PRA 58, 1827 (1998); Buzek & Hillery,
-    PRA 54, 1844 (1996)).  numpy only, so it checks the Fock-space
-    simulator without sharing any of its code.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
-    sym = (np.eye(d * d) + swap) / 2.0
-    pair = sym @ np.kron(rho, sigma) @ sym
-    p = float(np.real(np.trace(pair)))
-    clone = np.trace(pair.reshape(d, d, d, d), axis1=1, axis2=3) / p
-    return clone, p
 
 
 def brute_force_oracle(spec: QuditSpec):

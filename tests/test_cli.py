@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import subprocess
@@ -329,23 +328,6 @@ def test_importing_the_cli_loads_no_physics_module(tmp_path):
     assert {m for m in loaded if m.startswith("oamclone")} == {
         "oamclone", "oamclone.cli", "oamclone.qubit"}
     assert "yaml" not in loaded
-
-
-def test_lazy_package_exports_are_their_modules_objects(monkeypatch):
-    # a lazy export is listed by dir() but is not a package global; reading it
-    # imports the one module that defines it, and gives that module's object
-    lazy = set(dir(oamclone)) - set(vars(oamclone))
-    assert {"DensityOperator", "run_cloner_full", "QubitSpec", "qudit_clone",
-            "hom_curve"} <= lazy
-    imported, import_module = [], importlib.import_module
-    monkeypatch.setattr(importlib, "import_module",
-                        lambda name: imported.append(name) or import_module(name))
-    for name in sorted(lazy):
-        obj = getattr(oamclone, name)
-        assert imported[-1] == obj.__module__
-        assert getattr(sys.modules[obj.__module__], name) is obj
-    with pytest.raises(AttributeError):
-        oamclone.no_such_name
 
 
 @pytest.mark.parametrize("scenario", ["hom", "clone", "qudit", "experiment", "stokes"])

@@ -143,6 +143,20 @@ class TestCoalesce:
             with pytest.raises(fock.ConfigurationError, match="no post-selected weight"):
                 elements.coalesce(pa, ancillas, "a_prime")
 
+    def test_pairs_that_cannot_reach_the_port_add_nothing(self):
+        basis = cloning.cloner_basis()
+        pa, pb, idle = (superposition_state(basis, [(ModeIndex(path, "L", 2), 1.0)])
+                        for path in ("a", "b", "a_prime"))
+        # an ancilla on a' leaves the splitter by a and b, so with psi_a on a the
+        # pair never reaches a' (p = 0): alone it leaves no post-selected weight
+        with pytest.raises(fock.ConfigurationError, match="no post-selected weight"):
+            elements.coalesce(pa, [(idle, 1.0)], "a_prime")
+        # in a mixture it only lowers the success probability by its weight
+        alone, p_alone = elements.coalesce(pa, [(pb, 1.0)], "a_prime")
+        mixed, p_mixed = elements.coalesce(pa, [(idle, 0.5), (pb, 0.5)], "a_prime")
+        assert np.array_equal(mixed.matrix, alone.matrix)
+        assert (p_alone, p_mixed) == pytest.approx((0.25, 0.125), abs=1e-15)
+
     def test_one_checked_splitter_serves_every_scenario(self):
         assert cloning.cloner_basis() is cloning.label_basis(2)
         # cold: the HOM overlap checks the d = 2 splitter, and the qubit and the

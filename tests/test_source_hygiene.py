@@ -1,7 +1,8 @@
 """Every name a package module imports is used, unless its import says ``# noqa``,
-no package module imports the benchmark, ``build_basis``, ``ModeIndex`` and the
-one coalescence pipeline keep their callers, and no other test module names a
-package internal.
+the package's relative imports form no cycle and each names the module that
+defines the name, no package module imports the benchmark, ``build_basis``,
+``ModeIndex`` and the one coalescence pipeline keep their callers, and no other
+test module names a package internal.
 
 Lint checks in the standard library only: the source is parsed with ``ast``,
 and an imported name counts as used when it appears as a name anywhere in
@@ -27,7 +28,7 @@ ALLOWED_CALLERS = {
     "build_basis": set(),
     "ModeIndex": {("fock.py", "build_basis"), ("elements.py", "beam_splitter"),
                   ("cloning.py", "label_basis")},
-    "coalesce": {("cloning.py", "_clone"), ("interference.py", "internal_overlap")},
+    "coalesce": {("cloning.py", "label_clone"), ("interference.py", "internal_overlap")},
 }
 
 
@@ -64,6 +65,120 @@ def test_the_check_sees_unused_names_and_honours_noqa():
               "import numpy as np\n"
               "x = np.pi * partial(abs, 1)()\n")
     assert unused_imports(source) == [(2, "math"), (6, "lru_cache")]
+
+
+def relative_imports(source: str, modules=PACKAGE_MODULES):
+    """Sorted package modules that ``source`` imports relatively, function-level
+    imports included: ``from .m import x`` imports m, and ``from . import x``
+    imports x if x is one of ``modules``, else the package root ``__init__``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module)
+            else:
+                found |= {alias.name if alias.name in modules else "__init__"
+                          for alias in node.names}
+    return sorted(found)
+
+
+def import_cycle(graph):
+    """One cycle [m, ..., m] of ``graph`` ({module: the modules it imports}), or []."""
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return []
+        path.append(module)
+        for target in graph.get(module, ()):
+            cycle = visit(target)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        cycle = visit(module)
+        if cycle:
+            return cycle
+    return []
+
+
+def test_package_imports_form_no_cycle():
+    graph = {path.stem: relative_imports(path.read_text()) for path in SRC.glob("*.py")}
+    assert import_cycle(graph) == []
+
+
+def test_the_cycle_check_sees_function_level_imports():
+    sources = {"a": "import numpy\nfrom . import Error, b\n",
+               "b": "def f():\n    from .c import g\n",
+               "c": "from .a import h\n",
+               "d": "from .b import f\n"}
+    graph = {name: relative_imports(source, set(sources)) for name, source in sources.items()}
+    assert graph == {"a": ["__init__", "b"], "b": ["c"], "c": ["a"], "d": ["b"]}
+    assert import_cycle(graph) == ["a", "b", "c", "a"]
+    assert import_cycle({**graph, "c": []}) == []
+
+
+def top_level_names(source: str):
+    """The names ``source`` binds at top level by ``def``, ``class`` or assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+def misdirected_imports(source: str, definitions):
+    """(line, module, name) of each ``from .module import name`` (``from . import
+    name`` reads the root, ``__init__``) whose name is neither a module of
+    ``definitions`` ({module: its top-level names}) nor a public name that the
+    module itself defines."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        module = node.module or "__init__"
+        for alias in node.names:
+            if node.module is None and alias.name in definitions:
+                continue
+            if is_private(alias.name) or alias.name not in definitions.get(module, ()):
+                found.append((node.lineno, module, alias.name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_relative_import_names_the_defining_module(path):
+    definitions = {module.stem: top_level_names(module.read_text())
+                   for module in SRC.glob("*.py")}
+    assert misdirected_imports(path.read_text(), definitions) == []
+
+
+def test_the_home_check_sees_every_misdirected_import():
+    definitions = {
+        "__init__": top_level_names("import os\nclass Error(Exception):\n    pass\n"
+                                    "__version__ = '1'\n"),
+        "core": top_level_names("from . import Error\nLIMIT, _SCALE = 8, 2.0\n"
+                                "mode: str = 'L'\ndef run():\n    pass\n"
+                                "def _helper():\n    pass\nclass Spec:\n    pass\n"),
+    }
+    assert definitions["core"] == {"LIMIT", "_SCALE", "mode", "run", "_helper", "Spec"}
+    source = ("from . import Error, core, __version__\n"
+              "from . import os\n"
+              "from .core import LIMIT, Spec, mode, run\n"
+              "from .core import Error, _helper\n"
+              "def f():\n"
+              "    from .core import _SCALE, missing\n")
+    assert misdirected_imports(source, definitions) == [
+        (2, "__init__", "os"), (4, "core", "Error"), (4, "core", "_helper"),
+        (6, "core", "_SCALE"), (6, "core", "missing")]
 
 
 def benchmark_imports(source: str):
@@ -206,9 +321,9 @@ def test_the_internal_check_sees_every_read_form():
     source = ("import oamclone\n"
               "import oamclone.fock as f\n"
               "from oamclone import cloning, elements as el, ModeIndex\n"
-              "from oamclone.cloning import _clone, label_basis\n"
+              "from oamclone.cloning import _core, label_basis\n"
               "from oamclone.elements import GATHER_MIN_MODES\n"
-              "x = oamclone._EXPORTS + oamclone.__version__ + ModeIndex._fields\n"
+              "x = oamclone._registry + oamclone.__version__ + ModeIndex._fields\n"
               "y = f._private + f.__name__ + oamclone.fock._z + self._helper()\n"
               "el.splitter.cache_clear()\n"
               "info = cloning.label_states.cache_info()\n"
@@ -217,6 +332,6 @@ def test_the_internal_check_sees_every_read_form():
               "    monkeypatch.setattr(cloning, '_ancilla_states', None)\n"
               "    return getattr(el, '__doc__'), getattr(cloning, 'label_modes')\n")
     assert internal_reads(source) == [
-        (4, "_clone"), (5, "GATHER_MIN_MODES"), (6, "_EXPORTS"), (7, "_private"),
+        (4, "_core"), (5, "GATHER_MIN_MODES"), (6, "_registry"), (7, "_private"),
         (7, "_z"), (8, "cache_clear"), (9, "cache_info"), (10, "GATHER_MIN_MODES"),
         (12, "_ancilla_states")]
