@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 # physics modules are imported inside the runners, so a command loads only what it runs
-from . import FockError, __version__
+from . import ConfigurationError, FockError, __version__
 from .qubit import SIX_STATE_AMPLITUDES, QubitSpec
 
 EXIT_RUNTIME = 1
@@ -29,18 +29,15 @@ STATE_ALIASES = {"+2": "plus2", "-2": "minus2"}
 STATE_NAMES = tuple(SIX_STATE_AMPLITUDES)
 
 
-class ConfigValidationError(Exception):
-    pass
-
-
-# Upper bounds on the sizes a config controls, with the compute time at the
-# bound (2-core Xeon, Python 3.11, numpy 2.4):
-MAX_D = 24  # qudit d = 1..24 in 0.07 s with cold caches, 0.03 s warm; grows about as d^2
-MAX_DELAY_STEPS = 100_000  # 4.3 us per delay: 0.43 s and a 5 MB CSV
+# Upper bounds on the sizes a config controls, with the time of one main()
+# call at the bound, interpreter start-up excluded (2-core Xeon, Python 3.11,
+# numpy 2.4):
+MAX_D = 24  # qudit d = 1..24 in 0.09 s with cold caches, 0.04 s warm; grows about as d^2
+MAX_DELAY_STEPS = 100_000  # about 3 us per delay: 0.27-0.35 s and a 3.4 MB CSV
 MAX_STOKES_STATES = 60  # ten passes over the six states
-MAX_STOKES_RUNS = 1_000  # 0.48 ms per run and state: 29 s for 60 states
+MAX_STOKES_RUNS = 1_000  # 0.07 ms per run and state: 4.2 s and a 4.9 MB CSV for 60 states
 MAX_COUNTS_PER_BASIS = 10 ** 9  # a Poisson draw costs the same at any mean
-MAX_ANCILLA_SAMPLES = 100_000  # 0.06-0.07 ms per sampled ancilla: 6-7 s
+MAX_ANCILLA_SAMPLES = 100_000  # 0.06 ms per sampled ancilla: 6.2 s
 # duration_s * source_rate_hz; a Poisson draw costs the same at any mean, but
 # numpy rejects means above about 9.2e18 and the count rate is at most
 # 0.1875 * source_rate_hz
@@ -52,11 +49,11 @@ POSITIVE = math.ulp(0.0)  # the least float above 0: "> 0" as an inclusive bound
 
 def _state_label(raw, where):
     if not isinstance(raw, str):
-        raise ConfigValidationError(
+        raise ConfigurationError(
             f"{where}: state label must be a string, not {type(raw).__name__}")
     label = STATE_ALIASES.get(raw, raw)
     if label not in STATE_NAMES:
-        raise ConfigValidationError(
+        raise ConfigurationError(
             f"{where}: unknown state {raw!r} (choose from "
             f"{', '.join(STATE_NAMES)} or +2/-2)")
     return label
@@ -64,7 +61,7 @@ def _state_label(raw, where):
 
 def _state_list(raw, where):
     if not 1 <= len(raw) <= MAX_STOKES_STATES:
-        raise ConfigValidationError(f"{where}: value {raw!r} out of range")
+        raise ConfigurationError(f"{where}: value {raw!r} out of range")
     return [_state_label(s, where) for s in raw]
 
 
@@ -137,39 +134,39 @@ def validate_config(user: dict) -> dict:
     if user is None:
         user = {}
     if not isinstance(user, dict):
-        raise ConfigValidationError("top-level config must be a mapping")
+        raise ConfigurationError("top-level config must be a mapping")
     values = {name: key.default for name, key in KEYS.items()}
     for section, value in user.items():
         if section not in DEFAULTS:
-            raise ConfigValidationError(f"unknown config key {section!r}")
+            raise ConfigurationError(f"unknown config key {section!r}")
         if not isinstance(DEFAULTS[section], dict):
             values[section] = value
         elif not isinstance(value, dict):
-            raise ConfigValidationError(f"{section}: expected a mapping")
+            raise ConfigurationError(f"{section}: expected a mapping")
         else:
             for sub, sub_value in value.items():
                 flat = f"{section}.{sub}"
                 if flat not in KEYS:
-                    raise ConfigValidationError(f"unknown config key {flat!r}")
+                    raise ConfigurationError(f"unknown config key {flat!r}")
                 values[flat] = sub_value
     for name, key in KEYS.items():
         value = values[name]
         if isinstance(value, bool) or not isinstance(value, key.types):
-            raise ConfigValidationError(f"{name}: bad type {type(value).__name__}")
+            raise ConfigurationError(f"{name}: bad type {type(value).__name__}")
         if key.normalize is not None:
             values[name] = key.normalize(value, name)
         elif value is not None and not key.lo <= value <= key.hi:
-            raise ConfigValidationError(f"{name}: value {value!r} out of range")
+            raise ConfigurationError(f"{name}: value {value!r} out of range")
     config = _nested(values)
     if config["qudit"]["d_max"] < config["qudit"]["d_min"]:
-        raise ConfigValidationError("qudit.d_max < qudit.d_min")
+        raise ConfigurationError("qudit.d_max < qudit.d_min")
     exp = config["experiment"]
     if exp["coupling_max"] < exp["coupling_min"]:
-        raise ConfigValidationError("experiment.coupling_max < coupling_min")
+        raise ConfigurationError("experiment.coupling_max < coupling_min")
     if not exp["coupling_min"] <= exp["coupling"] <= exp["coupling_max"]:
-        raise ConfigValidationError("experiment.coupling outside its interval")
+        raise ConfigurationError("experiment.coupling outside its interval")
     if exp["duration_s"] * exp["source_rate_hz"] > MAX_SOURCE_PAIRS:
-        raise ConfigValidationError(
+        raise ConfigurationError(
             f"experiment.duration_s * source_rate_hz above {MAX_SOURCE_PAIRS:g}")
     return config
 
@@ -181,15 +178,6 @@ def _write_csv(path: Path, header, rows):
         lines.append(",".join("" if c is None else c if isinstance(c, str)
                               else f"{float(c):.12g}" for c in row))
     path.write_text("\n".join(lines) + "\n")
-
-
-def _plot(kind, *args):
-    """The SVG thunk of a runner: ``svgplot.<kind>(*args)``, imported only
-    when the figure is written."""
-    def svg():
-        from . import svgplot
-        return getattr(svgplot, kind)(*args)
-    return svg
 
 
 def run_hom(config):
@@ -209,9 +197,9 @@ def run_hom(config):
     }
     return (["delay_um", "expected_coincidences", "enhancement"],
             list(zip(delays_um, scan.coincidences, scan.coincidences)), results,
-            _plot("line_plot", delays_um, scan.coincidences,
-                  f"HOM coincidences ({cfg['state_a']}, {cfg['state_b']})",
-                  "delay (um)", "relative coincidences"))
+            ("line_plot", delays_um, scan.coincidences,
+             f"HOM coincidences ({cfg['state_a']}, {cfg['state_b']})",
+             "delay (um)", "relative coincidences"))
 
 
 def run_clone(config):
@@ -223,8 +211,8 @@ def run_clone(config):
             [(cfg["input"], result.fidelity, result.success_probability,
               *result.stokes)],
             result.to_record(q),
-            _plot("bloch_projection", [(cfg["input"], q.bloch(), result.stokes)],
-                  "Cloned qubit Bloch vector"))
+            ("bloch_projection", [(cfg["input"], q.bloch(), result.stokes)],
+             "Cloned qubit Bloch vector"))
 
 
 def run_qudit(config):
@@ -240,8 +228,8 @@ def run_qudit(config):
         rows.append((d, res.fidelity, f_formula, res.success_probability, p_formula))
     results = {"rows": [[int(r[0])] + [float(x) for x in r[1:]] for r in rows]}
     return (["d", "F_channel", "F_formula", "p_channel", "p_formula"], rows, results,
-            _plot("line_plot", [r[0] for r in rows], [r[1] for r in rows],
-                  "Cloning fidelity vs dimension", "d", "fidelity"))
+            ("line_plot", [r[0] for r in rows], [r[1] for r in rows],
+             "Cloning fidelity vs dimension", "d", "fidelity"))
 
 
 def run_experiment(config):
@@ -271,8 +259,8 @@ def run_experiment(config):
         results["reason"] = "no state got coincidence counts; raise experiment.duration_s"
     counted = [i for i, row in enumerate(rows) if row[3] is not None]
     return (["state_label", "C1", "C2", "F_exp", "sigma"], rows, results,
-            _plot("line_plot", counted, [rows[i][3] for i in counted],
-                  "Simulated per-state fidelity", "state index", "F_exp"))
+            ("line_plot", counted, [rows[i][3] for i in counted],
+             "Simulated per-state fidelity", "state index", "F_exp"))
 
 
 def run_stokes(config):
@@ -302,11 +290,12 @@ def run_stokes(config):
     }
     return (["state", "run", "s1_in", "s2_in", "s3_in",
              "s1_out", "s2_out", "s3_out", "length"], rows, results,
-            _plot("bloch_projection", arrows, "Shrunk Bloch sphere of the cloned states"))
+            ("bloch_projection", arrows, "Shrunk Bloch sphere of the cloned states"))
 
 
-# Each runner returns (CSV header, CSV rows, JSON results, SVG thunk), and
-# main writes the files that --format and --svg ask for.
+# Each runner returns (CSV header, CSV rows, JSON results, figure), the figure
+# as (svgplot function name, *its arguments), and main writes the files that
+# --format and --svg ask for.
 RUNNERS = {
     "hom": run_hom,
     "clone": run_clone,
@@ -324,54 +313,45 @@ def build_parser():
     sub = parser.add_subparsers(dest="scenario", required=True)
     for name in [*RUNNERS, "validate"]:
         p = sub.add_parser(name, help=f"run the {name} scenario"
-                           if name != "validate" else "check a config file")
+                           if name in RUNNERS else "check a config file")
         p.add_argument("--config", type=Path, default=None, help="YAML config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--out-dir", type=Path, default=Path("out"))
-        p.add_argument("--format", choices=("csv", "json", "both"), default="both")
-        p.add_argument("--svg", action="store_true", help="also emit an SVG figure")
+        if name in RUNNERS:
+            p.add_argument("--out-dir", type=Path, default=Path("out"))
+            p.add_argument("--format", choices=("csv", "json", "both"), default="both")
+            p.add_argument("--svg", action="store_true", help="also emit an SVG figure")
     return parser
-
-
-def _load_config(args):
-    user = {}
-    if args.config is not None:
-        import yaml
-        try:
-            text = args.config.read_text()
-        except OSError as exc:
-            raise _ParseFailure(f"cannot read config: {exc}") from exc
-        try:
-            user = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise _ParseFailure(f"config parse error: {exc}") from exc
-    config = validate_config(user)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2 ** 64:
-            raise ConfigValidationError("--seed out of range for u64")
-        config["seed"] = args.seed
-    return config
 
 
 class _ParseFailure(Exception):
     pass
 
 
+def _load_config(args):
+    """The config file's mapping with ``--seed`` over its seed, validated."""
+    user = {}
+    if args.config is not None:
+        import yaml
+        try:
+            # bytes, so that PyYAML detects the encoding and rejects invalid text
+            user = yaml.safe_load(args.config.read_bytes())
+        except OSError as exc:
+            raise _ParseFailure(f"cannot read config: {exc}") from exc
+        except yaml.YAMLError as exc:
+            raise _ParseFailure(f"config parse error: {exc}") from exc
+    if args.seed is not None and isinstance(user, (dict, type(None))):
+        user = {**(user or {}), "seed": args.seed}
+    return validate_config(user)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except _ParseFailure as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
-    except ConfigValidationError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.scenario == "validate":
-        print(json.dumps(config, sort_keys=True, indent=2, allow_nan=False))
-        return 0
-    try:
-        header, rows, results, svg = RUNNERS[args.scenario](config)
+        if args.scenario == "validate":
+            print(json.dumps(config, sort_keys=True, indent=2, allow_nan=False))
+            return 0
+        header, rows, results, (plot, *plot_args) = RUNNERS[args.scenario](config)
         # serialized on every run, so that a non-finite result fails the run
         # under --format csv too, and before any file is written
         doc = json.dumps({"scenario": args.scenario, "version": __version__,
@@ -384,7 +364,11 @@ def main(argv=None) -> int:
         if args.format != "csv":
             stem.with_suffix(".json").write_text(doc + "\n")
         if args.svg:
-            stem.with_suffix(".svg").write_text(svg())
+            from . import svgplot
+            stem.with_suffix(".svg").write_text(getattr(svgplot, plot)(*plot_args))
+    except _ParseFailure as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_PARSE
     except FockError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

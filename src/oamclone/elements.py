@@ -74,8 +74,8 @@ def beam_splitter(basis: ModeBasis) -> ElementOperator:
     """Balanced beam splitter routing paths a, b to a_prime, b_prime.
 
     Reflection inverts the OAM sign, so the basis's OAM set must be closed
-    under m -> -m.  The a'/b' -> a/b block is filled with the adjoint of the
-    forward block so the full matrix is unitary; those input modes are never
+    under m -> -m.  Each a'/b' -> a/b entry is the adjoint of its forward
+    entry, so the full matrix is unitary; those input modes are never
     populated before the splitter in any scenario.
     """
     needed = {"a", "b", "a_prime", "b_prime"}
@@ -86,20 +86,15 @@ def beam_splitter(basis: ModeBasis) -> ElementOperator:
     n = basis.size
     mat = np.zeros((n, n), dtype=complex)
     inv = 1.0 / math.sqrt(2.0)
+    ports = {"a": ("a_prime", "b_prime"), "b": ("b_prime", "a_prime")}
     for mode in basis.modes:
-        if mode.path not in ("a", "b"):
+        if mode.path not in ports:
             continue
         src = basis.index(mode)
-        if mode.path == "a":
-            mat[basis.index(ModeIndex("a_prime", mode.pol, mode.oam)), src] = inv
-            mat[basis.index(ModeIndex("b_prime", mode.pol, -mode.oam)), src] = 1j * inv
-        else:
-            mat[basis.index(ModeIndex("a_prime", mode.pol, -mode.oam)), src] = 1j * inv
-            mat[basis.index(ModeIndex("b_prime", mode.pol, mode.oam)), src] = inv
-    in_idx = [i for i, m in enumerate(basis.modes) if m.path in ("a", "b")]
-    out_idx = [i for i, m in enumerate(basis.modes) if m.path in ("a_prime", "b_prime")]
-    block = mat[np.ix_(out_idx, in_idx)]
-    mat[np.ix_(in_idx, out_idx)] = block.conj().T
+        through, reflected = ports[mode.path]
+        for path, oam, amp in ((through, mode.oam, inv), (reflected, -mode.oam, 1j * inv)):
+            dst = basis.index(ModeIndex(path, mode.pol, oam))
+            mat[dst, src], mat[src, dst] = amp, np.conj(amp)
     return ElementOperator(basis, mat)
 
 

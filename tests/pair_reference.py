@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from oamclone.fock import (BasisMismatchError, DensityOperator, InvalidStateError,
-                           PhotonState, TwoPhotonState)
+from oamclone import BasisMismatchError, InvalidStateError
+from oamclone.fock import DensityOperator, PhotonState, TwoPhotonState
 
 
 def photon_amplitude(state: PhotonState, mode) -> complex:

@@ -11,8 +11,8 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import oamclone
-from oamclone import cli, cloning, experiment
-from oamclone.cli import main, validate_config, ConfigValidationError
+from oamclone import ConfigurationError, cli, cloning, experiment
+from oamclone.cli import main, validate_config
 from oamclone.cloning import QubitSpec
 from fresh_process import child_env
 
@@ -61,25 +61,25 @@ class TestConfigValidation:
         assert cfg["hom"]["state_b"] == "minus2"
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigValidationError):
+        with pytest.raises(ConfigurationError):
             validate_config({"nope": 1})
-        with pytest.raises(ConfigValidationError):
+        with pytest.raises(ConfigurationError):
             validate_config({"hom": {"nope": 1}})
 
     def test_type_and_range_checks(self):
-        with pytest.raises(ConfigValidationError):
+        with pytest.raises(ConfigurationError):
             validate_config({"hom": {"delay_steps": "61"}})
-        with pytest.raises(ConfigValidationError):
+        with pytest.raises(ConfigurationError):
             validate_config({"hom": {"delay_steps": 0}})
-        with pytest.raises(ConfigValidationError):
+        with pytest.raises(ConfigurationError):
             validate_config({"experiment": {"f_prep": 0.2}})
-        with pytest.raises(ConfigValidationError):
+        with pytest.raises(ConfigurationError):
             validate_config({"qudit": {"d_min": 5, "d_max": 2}})
-        with pytest.raises(ConfigValidationError):
+        with pytest.raises(ConfigurationError):
             validate_config({"experiment": {"coupling": 0.5}})
 
     def test_unknown_state_label(self):
-        with pytest.raises(ConfigValidationError):
+        with pytest.raises(ConfigurationError):
             validate_config({"clone": {"input": "sideways"}})
 
     @settings(max_examples=300, deadline=None)
@@ -88,7 +88,7 @@ class TestConfigValidation:
         section, _, sub = key.partition(".")
         try:
             cfg = validate_config({section: {sub: value}})
-        except ConfigValidationError:
+        except ConfigurationError:
             return
         row = cli.KEYS[key]
         assert math.isfinite(cfg[section][sub]) and row.lo <= cfg[section][sub] <= row.hi
@@ -404,6 +404,42 @@ class TestExitCodes:
 
     def test_missing_subcommand_exits_2(self, tmp_path):
         assert run_cli([], tmp_path).returncode == 2
+
+    def test_config_that_is_not_utf8_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.yaml"
+        cfg.write_bytes("clone:\n  input: h  # café\n".encode("latin-1"))
+        out = tmp_path / "out"
+        assert main(["clone", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "config parse error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_utf8_config_loads_under_the_c_locale(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_bytes("# café\nseed: 5\n".encode("utf-8"))
+        res = subprocess.run([sys.executable, "-m", "oamclone", "validate", "--config", str(cfg)],
+                             capture_output=True, cwd=tmp_path,
+                             env={**child_env(), "PYTHONUTF8": "0", "LC_ALL": "C"})
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["seed"] == 5
+
+    @pytest.mark.parametrize("option", [["--out-dir", "x"], ["--format", "csv"], ["--svg"]])
+    def test_validate_takes_no_output_option(self, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", *option])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("scenario", sorted(cli.RUNNERS))
+    def test_every_scenario_takes_all_five_options(self, scenario):
+        args = cli.build_parser().parse_args([scenario, "--config", "c.yaml", "--seed", "1",
+                                              "--out-dir", "o", "--format", "csv", "--svg"])
+        assert (args.config, args.seed, args.out_dir, args.format, args.svg) \
+            == (Path("c.yaml"), 1, Path("o"), "csv", True)
+
+    @pytest.mark.parametrize("seed, code", [(-1, 3), (2 ** 64, 3), (2 ** 64 - 1, 0)])
+    def test_seed_option_is_bounded_by_the_seed_key(self, seed, code, tmp_path):
+        out = tmp_path / "out"
+        assert main(["clone", "--seed", str(seed), "--out-dir", str(out)]) == code
+        assert out.exists() == (code == 0)
 
 
 class TestScenarios:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oamclone import cloning, elements, fock
+from oamclone import ConfigurationError, InvalidStateError, cloning, elements, fock
 from oamclone.cloning import (
     QubitSpec,
     haar_random_qubit,
@@ -12,7 +12,6 @@ from oamclone.cloning import (
     stokes_vector,
     universality_sweep,
 )
-from oamclone.fock import ConfigurationError, InvalidStateError
 from fresh_process import run_fresh
 
 NOT_DENSITY = [
@@ -26,8 +25,7 @@ NOT_DENSITY = [
 # ends refuse with: InvalidStateError's message, or None if they return.
 PLANTED_CLONE = f"""
 import numpy as np
-from oamclone import cloning, fock, qudit
-from oamclone.fock import InvalidStateError
+from oamclone import InvalidStateError, cloning, fock, qudit
 density = fock.DensityOperator
 refusals = []
 for bad in {NOT_DENSITY!r}:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oamclone import cloning, elements, fock, qudit
+from oamclone import BasisMismatchError, ConfigurationError, cloning, elements, fock, qudit
 from oamclone.elements import apply, beam_splitter
 from oamclone.fock import ModeIndex, PhotonState, build_basis, superposition_state
 from pair_reference import pair_amplitude, pair_amplitudes, photon_amplitude
@@ -14,8 +14,8 @@ from fresh_process import cold_census, run_fresh
 # HOM overlap refuse with: ConfigurationError's message, or None.
 NON_UNITARY_SPLITTER = """
 import numpy as np
-from oamclone import cloning, elements, interference, qudit
-from oamclone.fock import ConfigurationError, ModeIndex, superposition_state
+from oamclone import ConfigurationError, cloning, elements, interference, qudit
+from oamclone.fock import ModeIndex, superposition_state
 build = elements.beam_splitter
 
 
@@ -104,11 +104,11 @@ class TestBeamSplitter:
             assert refusal is not None and "not unitary" in refusal
 
     def test_missing_paths_rejected(self):
-        with pytest.raises(fock.ConfigurationError):
+        with pytest.raises(ConfigurationError):
             beam_splitter(build_basis(("a", "b"), (-2, 2)))
 
     def test_asymmetric_truncation_rejected_with_flip(self):
-        with pytest.raises(fock.ConfigurationError):
+        with pytest.raises(ConfigurationError):
             beam_splitter(build_basis(("a", "b", "a_prime", "b_prime"), (0, 2)))
 
 
@@ -140,7 +140,7 @@ class TestCoalesce:
         pa, pb = (superposition_state(basis, [(ModeIndex(path, "L", 2), 1.0)])
                   for path in ("a", "b"))
         for ancillas in ([], [(pb, 0.0)]):  # no ancilla; one that reaches a', with weight 0
-            with pytest.raises(fock.ConfigurationError, match="no post-selected weight"):
+            with pytest.raises(ConfigurationError, match="no post-selected weight"):
                 elements.coalesce(pa, ancillas, "a_prime")
 
     def test_pairs_that_cannot_reach_the_port_add_nothing(self):
@@ -149,7 +149,7 @@ class TestCoalesce:
                         for path in ("a", "b", "a_prime"))
         # an ancilla on a' leaves the splitter by a and b, so with psi_a on a the
         # pair never reaches a' (p = 0): alone it leaves no post-selected weight
-        with pytest.raises(fock.ConfigurationError, match="no post-selected weight"):
+        with pytest.raises(ConfigurationError, match="no post-selected weight"):
             elements.coalesce(pa, [(idle, 1.0)], "a_prime")
         # in a mixture it only lowers the success probability by its weight
         alone, p_alone = elements.coalesce(pa, [(pb, 1.0)], "a_prime")
@@ -223,11 +223,11 @@ class TestApply:
         op = beam_splitter(build_basis(("a", "b", "a_prime", "b_prime"), (-2, 2)))
         other = superposition_state(build_basis(("b",), (0,)),
                                     [(ModeIndex("b", "L", 0), 1.0)])
-        with pytest.raises(fock.BasisMismatchError):
+        with pytest.raises(BasisMismatchError):
             apply(op, other)
 
     def test_validate_rejects_a_non_unitary_matrix(self):
         basis = pol_basis()
         lossy = elements.ElementOperator(basis, np.diag([1.0, 0.5]))
-        with pytest.raises(fock.ConfigurationError):
+        with pytest.raises(ConfigurationError):
             lossy.validate()

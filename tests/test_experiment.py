@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oamclone import ConfigurationError
 from oamclone.cloning import QubitSpec
 from oamclone.experiment import (
     TABLE_ONE_STATES,
@@ -15,7 +16,6 @@ from oamclone.experiment import (
     simulate_stokes,
     table_one_run,
 )
-from oamclone.fock import ConfigurationError
 
 
 class TestPredictedFidelity:

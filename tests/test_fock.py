@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oamclone import elements, fock
+from oamclone import BasisMismatchError, ConfigurationError, InvalidStateError, elements, fock
 from oamclone.cloning import label_basis
 from oamclone.fock import (
-    ConfigurationError,
-    InvalidStateError,
     ModeIndex,
     PhotonState,
     TwoPhotonState,
@@ -252,7 +250,7 @@ class TestSymmetrizeProduct:
     def test_basis_mismatch(self):
         pa = superposition_state(build_basis(("a",), (0,)), [(ModeIndex("a", "L", 0), 1)])
         pb = superposition_state(build_basis(("b",), (0,)), [(ModeIndex("b", "L", 0), 1)])
-        with pytest.raises(fock.BasisMismatchError):
+        with pytest.raises(BasisMismatchError):
             symmetrize_product(pa, pb)
 
     def test_inner_and_norm_are_those_of_the_pair_kets(self):
@@ -266,7 +264,7 @@ class TestSymmetrizeProduct:
                 sum(a[k].conjugate() * b[k] for k in a), abs=1e-12)
             assert one.norm() == pytest.approx(
                 math.sqrt(sum(abs(x) ** 2 for x in a.values())), abs=1e-12)
-        with pytest.raises(fock.BasisMismatchError):
+        with pytest.raises(BasisMismatchError):
             TwoPhotonState(basis, np.zeros((2, 2)))
 
 
@@ -294,7 +292,7 @@ class TestProjectKeys:
         assert self.BASIS.port("b") is self.BASIS.port("b")
 
     def test_path_without_modes_rejected(self):
-        with pytest.raises(fock.BasisMismatchError):
+        with pytest.raises(BasisMismatchError):
             fock.project_keys(self._pair_on_a(), "a_prime")
 
 
@@ -412,7 +410,7 @@ class TestPartialTrace:
     def test_wrong_kind_rejected(self):
         basis = build_basis(("a",), (0,))
         psi = superposition_state(basis, [(ModeIndex("a", "L", 0), 1.0)])
-        with pytest.raises(fock.BasisMismatchError):
+        with pytest.raises(BasisMismatchError):
             partial_trace_to_single(pure_density(psi))
 
     def test_reduced_single_pure_matches_general_route(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oamclone import ConfigurationError
 from oamclone.fock import ModeIndex, build_basis, superposition_state
 from oamclone.interference import (
     KAPPA,
@@ -59,7 +60,6 @@ class TestTemporalOverlap:
             assert temporal_overlap(d, prof) == pytest.approx(numeric, abs=1e-6)
 
     def test_bad_profiles_rejected(self):
-        from oamclone.fock import ConfigurationError
         with pytest.raises(ConfigurationError):
             SpectralProfile(bandwidth_fwhm=0.0)
         with pytest.raises(ConfigurationError):
@@ -70,7 +70,6 @@ class TestTemporalOverlap:
         # the coherence length wavelength^2 / bandwidth underflows to 0 or overflows
         (1e-300, 1e300), (1e300, 6e-9)])
     def test_non_finite_profile_rejected(self, wavelength, bandwidth):
-        from oamclone.fock import ConfigurationError
         with pytest.raises(ConfigurationError):
             SpectralProfile(wavelength, bandwidth)
 
@@ -114,7 +113,6 @@ class TestInternalOverlap:
                 internal_overlap_direct(pa, pb), abs=1e-10)
 
     def test_same_path_inputs_rejected(self):
-        from oamclone.fock import ConfigurationError
         with pytest.raises(ConfigurationError):
             internal_overlap(oam_state("a", 1, 0), oam_state("a", 0, 1))
 
@@ -163,13 +161,11 @@ class TestCoincidenceCurve:
         assert scan.ratio == pytest.approx(1.0 + c * c, abs=1e-12)
 
     def test_empty_scan_rejected(self):
-        from oamclone.fock import ConfigurationError
         with pytest.raises(ConfigurationError):
             hom_curve(oam_state("a", 1, 0), oam_state("b", 0, 1), [], SpectralProfile())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_delay_rejected(self, bad):
-        from oamclone.fock import ConfigurationError
         with pytest.raises(ConfigurationError):
             hom_curve(oam_state("a", 1, 0), oam_state("b", 0, 1), [0.0, bad],
                       SpectralProfile())

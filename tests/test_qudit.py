@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from oamclone import cloning, elements, fock, qubit
+from oamclone import ConfigurationError, cloning, elements, fock, qubit
 from oamclone.cloning import symmetric_subspace_clone
-from oamclone.fock import ConfigurationError
 from oamclone.qudit import QuditSpec, brute_force_oracle, qudit_clone, qudit_formula
 from fresh_process import cold_census
 

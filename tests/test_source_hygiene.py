@@ -2,7 +2,8 @@
 the package's relative imports form no cycle and each names the module that
 defines the name, no package module imports the benchmark, ``build_basis``,
 ``ModeIndex`` and the one coalescence pipeline keep their callers, and no other
-test module names a package internal.
+test module names a package internal or reads an error class from anywhere but
+the package root.
 
 Lint checks in the standard library only: the source is parsed with ``ast``,
 and an imported name counts as used when it appears as a name anywhere in
@@ -20,6 +21,8 @@ PACKAGE_MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__", "__mai
 # names a test may not read on anything: a cache's handles and apply's size switch
 INTERNAL_NAMES = {"cache_info", "cache_clear", "GATHER_MIN_MODES"}
 BENCHMARK_MODULES = {"perfbench", "spans", "workloads", "checks"}
+# defined by the package root, and read by tests from there only
+ERROR_CLASSES = {"FockError", "ConfigurationError", "BasisMismatchError", "InvalidStateError"}
 # function -> the (module file, function) pairs that may call it: every cloner
 # goes through the core, the HOM overlap reads the same coalescence, a mode is
 # named only by the general basis, the splitter and the cloner's label-order
@@ -335,3 +338,83 @@ def test_the_internal_check_sees_every_read_form():
         (4, "_core"), (5, "GATHER_MIN_MODES"), (6, "_registry"), (7, "_private"),
         (7, "_z"), (8, "cache_clear"), (9, "cache_info"), (10, "GATHER_MIN_MODES"),
         (12, "_ancilla_states")]
+
+
+def child_scripts(tree):
+    """(line, parsed script) of each string in ``tree`` that parses as Python
+    with an import, such as a script planted in a child process; an f-string's
+    replacement fields read as a name."""
+    parts = {id(v) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+             for v in node.values}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value if isinstance(v, ast.Constant) else "_" for v in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in parts:
+            text = node.value
+        else:
+            continue
+        try:
+            script = ast.parse(text)
+        except (SyntaxError, ValueError):
+            continue
+        if any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(script)):
+            yield node.lineno, script
+
+
+def error_class_reads(tree):
+    """(line, name) of each error class that ``tree`` reads from anywhere but the
+    package root: ``from <not oamclone> import Error``, ``x.Error`` and
+    ``getattr(x, "Error")`` with x not a name bound to the root; in a child
+    script, at the line of its string."""
+    roots = {alias.asname or "oamclone" for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names
+             if alias.name == "oamclone" or alias.name.startswith("oamclone.") and not alias.asname}
+
+    def is_root(node):
+        return isinstance(node, ast.Name) and node.id in roots
+
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "oamclone":
+            found |= {(node.lineno, a.name) for a in node.names if a.name in ERROR_CLASSES}
+        elif isinstance(node, ast.Attribute) and node.attr in ERROR_CLASSES \
+                and not is_root(node.value):
+            found.add((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and len(node.args) >= 2 \
+                and getattr(node.func, "id", None) in ("getattr", "hasattr") \
+                and isinstance(node.args[1], ast.Constant) \
+                and node.args[1].value in ERROR_CLASSES and not is_root(node.args[0]):
+            found.add((node.lineno, node.args[1].value))
+    for line, script in child_scripts(tree):
+        found |= {(line, name) for _, name in error_class_reads(script)}
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(path for path in TESTS.glob("*.py") if path.name != Path(__file__).name),
+    ids=lambda p: p.name)
+def test_tests_read_the_error_classes_from_the_package_root(path):
+    assert error_class_reads(ast.parse(path.read_text())) == []
+
+
+def test_the_error_class_check_sees_every_read_form():
+    source = ('import oamclone\n'
+              'import oamclone as oc\n'
+              'import oamclone.fock as f\n'
+              'from oamclone import ConfigurationError, fock\n'
+              'from oamclone.fock import InvalidStateError, ModeIndex\n'
+              'x = (oamclone.FockError, oc.BasisMismatchError, fock.ConfigurationError)\n'
+              'y = (f.BasisMismatchError, oamclone.fock.InvalidStateError)\n'
+              'z = getattr(fock, "FockError"), getattr(oc, "FockError"), f.ModeIndex\n'
+              'CHILD = """\nfrom oamclone import cloning\nfrom oamclone.fock import FockError\n"""\n'
+              'PLANTED = f"""\nimport oamclone.fock as g\nfor bad in {x!r}:\n'
+              '    raise g.ConfigurationError(bad)\n"""\n'
+              'CLEAN = "from oamclone import FockError"\n'
+              'def test():\n'
+              '    from oamclone.qudit import BasisMismatchError\n'
+              '    return "fock.ConfigurationError", "from fock import FockError, or"\n')
+    assert error_class_reads(ast.parse(source)) == [
+        (5, "InvalidStateError"), (6, "ConfigurationError"), (7, "BasisMismatchError"),
+        (7, "InvalidStateError"), (8, "FockError"), (9, "FockError"),
+        (13, "ConfigurationError"), (20, "BasisMismatchError")]
