@@ -7,7 +7,7 @@ in_b)/sqrt(2), out_b' = (i F in_a + in_b)/sqrt(2), where F inverts the OAM
 sign on reflection; a -> a' is the transmitted port.
 
 ``apply`` on a two-photon state computes S -> M S M^T densely below
-``GATHER_MIN_MODES`` basis modes.  At or above it, it contracts over the
+``fock.GATHER_MIN_MODES`` basis modes.  At or above it, it contracts over the
 occupied modes k only, M[:, k] S[k, k] M[:, k]^T: before the splitter a qudit
 branch occupies d + 1 of its 4d modes.
 """
@@ -24,10 +24,6 @@ from . import BasisMismatchError, ConfigurationError, fock
 from .fock import DensityOperator, ModeBasis, ModeIndex, PhotonState, TwoPhotonState
 
 UNITARY_ATOL = 1e-10
-# best of 7 x 500, dense vs gathered (us), qudit branch on d + 1 modes, eight runs
-# (the lowest of each shown): n = 32 16.0 vs 17.5, dense faster in 8 of 8; n = 36
-# 19.5 vs 18.6, gathered faster in 8 of 8; n = 40 23.2 vs 19.6; n = 48 45 vs 24
-GATHER_MIN_MODES = 36
 
 
 @dataclass
@@ -55,7 +51,7 @@ def apply(op: ElementOperator, state):
 
     Two-photon states evolve via the symmetric coefficient matrix,
     S -> M S M^T, which is the lift M (x) M on the bosonic sector; on
-    ``GATHER_MIN_MODES`` or more modes only S's occupied modes enter the product.
+    ``fock.GATHER_MIN_MODES`` or more modes only S's occupied modes enter the product.
     """
     if op.basis != state.basis:
         raise BasisMismatchError("operator and state bases differ")
@@ -63,7 +59,7 @@ def apply(op: ElementOperator, state):
         return PhotonState(op.basis, op.matrix @ state.amplitudes)
     if isinstance(state, TwoPhotonState):
         m, s = op.matrix, state.amplitudes
-        if op.basis.size >= GATHER_MIN_MODES:
+        if op.basis.size >= fock.GATHER_MIN_MODES:
             k = np.flatnonzero(s.any(0))
             m, s = m[:, k], s[k][:, k]
         return TwoPhotonState(op.basis, m @ s @ m.T)
@@ -109,12 +105,19 @@ def coalesce(psi_a: PhotonState, ancillas, port: str):
 
     Returns the one-photon state over the port's sub-basis, averaged over the
     ancillas ``(psi_b, w)`` (any iterable, read once) with weights w_k p_k,
-    and the success probability sum_k w_k p_k; ConfigurationError if that is 0.
-    A pair that never reaches the port (p_k = 0) adds nothing and is skipped.
+    and the success probability sum_k w_k p_k.  The weights are a probability
+    distribution: each finite and >= 0, summing to 1 (``math.fsum``, exact where
+    a running sum of 100,000 weights 1/n drifts by 2e-12); ConfigurationError
+    otherwise, or if the success probability is 0.  A pair that never reaches
+    the port (p_k = 0) adds nothing and is skipped.
     """
     bs = splitter(psi_a.basis)
+    weights = []
     success = acc = 0.0
     for psi_b, w in ancillas:
+        if not (w >= 0.0 and math.isfinite(w)):
+            raise ConfigurationError(f"ancilla weight {w} is not finite and >= 0")
+        weights.append(w)
         kept, prob = fock.project_keys(apply(bs, fock.symmetrize_product(psi_a, psi_b)), port)
         if prob == 0.0:
             continue
@@ -122,4 +125,7 @@ def coalesce(psi_a: PhotonState, ancillas, port: str):
         success += w * prob
     if success == 0.0:
         raise ConfigurationError("no post-selected weight: no ancilla, or none with weight")
+    total = math.fsum(weights)
+    if abs(total - 1.0) > fock.NORM_ATOL:
+        raise ConfigurationError(f"ancilla weights sum to {total}, expected 1")
     return DensityOperator(kept.basis, acc / success), success

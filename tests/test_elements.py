@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oamclone import BasisMismatchError, ConfigurationError, cloning, elements, fock, qudit
+from oamclone import BasisMismatchError, ConfigurationError, cli, cloning, elements, fock, qudit
 from oamclone.elements import apply, beam_splitter
 from oamclone.fock import ModeIndex, PhotonState, build_basis, superposition_state
 from pair_reference import pair_amplitude, pair_amplitudes, photon_amplitude
@@ -156,6 +156,27 @@ class TestCoalesce:
         mixed, p_mixed = elements.coalesce(pa, [(idle, 0.5), (pb, 0.5)], "a_prime")
         assert np.array_equal(mixed.matrix, alone.matrix)
         assert (p_alone, p_mixed) == pytest.approx((0.25, 0.125), abs=1e-15)
+
+    @pytest.mark.parametrize("weights", [[-1.0], [5.0, 5.0], [math.nan, 1.0], [math.inf],
+                                         [1.0, -1e-300], [0.5, 0.25]],
+                             ids=["negative", "sum-10", "nan", "inf", "tiny-negative", "sum-0.75"])
+    def test_weights_that_are_not_a_distribution_are_rejected(self, weights):
+        # unchecked, the first two clone with p = -0.375 and p = 3.75, and a NaN
+        # weight warns in the divide
+        ancillas = list(zip([(1, 0), (0, 1)], weights))
+        with pytest.raises(ConfigurationError, match="ancilla weight"):
+            cloning.label_clone((1 / math.sqrt(2), 1 / math.sqrt(2)), "a_prime", ancillas)
+
+    def test_sampled_weights_sum_to_one_exactly(self):
+        # the CLI's largest sample count: a running sum of its 1/n weights misses
+        # 1 by more than NORM_ATOL, so the check must sum them exactly
+        n = cli.MAX_ANCILLA_SAMPLES
+        running = 0.0
+        for _ in range(n):
+            running += 1.0 / n
+        assert abs(running - 1.0) > fock.NORM_ATOL
+        res = cloning.run_cloner_full(cloning.QubitSpec.named("h"), n, seed=0)
+        assert res.fidelity == pytest.approx(5.0 / 6.0, abs=0.01)
 
     def test_one_checked_splitter_serves_every_scenario(self):
         assert cloning.cloner_basis() is cloning.label_basis(2)

@@ -81,6 +81,7 @@ def _photon_pairs(basis, rng):
         yield tuple(_photon(basis, rng, sorted(rng.choice(basis.size, rng.integers(1, q + 2),
                                                           replace=False)))
                     for _ in range(2))
+    yield _photon(basis, rng, [basis.size - 1]), _photon(basis, rng, [q])  # one mode each
 
 
 def _assert_close_pairs(state, reference, tol=TOL):
@@ -113,6 +114,29 @@ class TestKernelsMatchTheLoopReference:
                 ref_kept = {tuple(sorted(port.index(basis.modes[i]) for i in key)): a
                             for key, a in ref_kept.items()}
                 _assert_close_pairs(kept, ref_kept, TOL / math.sqrt(max(ref_prob, TOL)))
+
+
+def _dense_symmetrization(psi_a, psi_b):
+    """S = (u v^T + v u^T)/2 over every mode of the basis, with the kernel's
+    closed-form norm and float operations: one n x n outer product plus its transpose."""
+    u, v = psi_a.amplitudes, psi_b.amplitudes
+    norm = math.sqrt(np.vdot(u, u).real * np.vdot(v, v).real + abs(np.vdot(u, v)) ** 2)
+    s = np.outer(u * (0.5 / norm), v)
+    return s + s.T
+
+
+# on either side of the size where the kernel switches to the occupied modes
+@pytest.mark.parametrize("basis, n", [
+    *((label_basis(d), 4 * d) for d in (8, 9, 10, 16, 24)),
+    (build_basis(fock.PATHS, (-4, -2, 0, 2, 4), pols=("L", "R")), 40),
+], ids=["n=32", "n=36", "n=40", "n=64", "n=96", "n=40-two-pols"])
+def test_symmetrize_product_is_the_dense_formula_bit_for_bit(basis, n):
+    assert basis.size == n
+    # disjoint a/b (the cloner's), identical, full, partly shared and one mode each
+    for pa, pb in _photon_pairs(basis, np.random.default_rng(n)):
+        s = symmetrize_product(pa, pb).amplitudes
+        assert np.array_equal(s, _dense_symmetrization(pa, pb))
+        assert np.array_equal(s, s.T)
 
 
 class TestBuildBasis:

@@ -18,7 +18,8 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "oamclone"
 PACKAGE_MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__", "__main__"}
-# names a test may not read on anything: a cache's handles and apply's size switch
+# names a test may not read on anything: a cache's handles and the size switch of
+# both two-photon kernels, fock.symmetrize_product and elements.apply
 INTERNAL_NAMES = {"cache_info", "cache_clear", "GATHER_MIN_MODES"}
 BENCHMARK_MODULES = {"perfbench", "spans", "workloads", "checks"}
 # defined by the package root, and read by tests from there only
