@@ -15,11 +15,10 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
-# physics modules are imported inside the runners, so a command loads only what it runs
+# numpy and the physics modules are imported inside the runners, so a command
+# loads only what it runs, and --version, --help and validate load no numpy
 from . import ConfigurationError, FockError, __version__
-from .qubit import SIX_STATE_AMPLITUDES, QubitSpec
+from .states import SIX_STATE_AMPLITUDES
 
 EXIT_RUNTIME = 1
 EXIT_PARSE = 2
@@ -181,7 +180,9 @@ def _write_csv(path: Path, header, rows):
 
 
 def run_hom(config):
+    import numpy as np
     from . import cloning, interference
+    from .qubit import QubitSpec
     cfg = config["hom"]
     basis = cloning.cloner_basis()
     psi_a = cloning.embed_qubit(QubitSpec.named(cfg["state_a"]), basis, "a")
@@ -204,6 +205,7 @@ def run_hom(config):
 
 def run_clone(config):
     from . import cloning
+    from .qubit import QubitSpec
     cfg = config["clone"]
     q = QubitSpec.named(cfg["input"])
     result = cloning.run_cloner_full(q, cfg["ancilla_samples"], seed=config["seed"])
@@ -216,6 +218,7 @@ def run_clone(config):
 
 
 def run_qudit(config):
+    import numpy as np
     from . import qudit
     cfg = config["qudit"]
     rng = np.random.default_rng(config["seed"])
@@ -264,7 +267,9 @@ def run_experiment(config):
 
 
 def run_stokes(config):
+    import numpy as np
     from . import cloning, experiment
+    from .qubit import QubitSpec
     cfg = config["stokes"]
     seeds = np.random.SeedSequence(config["seed"]).spawn(
         len(cfg["states"]) * cfg["runs"])

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import ConfigurationError, elements, fock
 from .fock import ModeBasis, ModeIndex, PhotonState
-from .qubit import SIX_STATE_AMPLITUDES, QubitSpec, haar_random_qubit, stokes_vector
+from .qubit import QubitSpec, haar_random_qubit, stokes_vector
+from .states import SIX_STATE_AMPLITUDES
 
 _POL = "L"  # both photons share one polarization; the labels are OAM only
 

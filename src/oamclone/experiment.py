@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ConfigurationError
-from .qubit import SIX_STATE_AMPLITUDES, QubitSpec
+from .qubit import QubitSpec
+from .states import SIX_STATE_AMPLITUDES
 
 TABLE_ONE_STATES = tuple(SIX_STATE_AMPLITUDES)
 POISSON_MEAN_MAX = 9.223372006484771e18  # numpy's poisson limit: int64 max - 10 sqrt(int64 max)

@@ -1,7 +1,7 @@
 """The OAM qubit on the {+2, -2} basis: amplitudes, Pauli axes and Stokes vectors.
 
 numpy only, so that code which needs qubit states but no two-photon evolution
-(the CLI's state names, the ``experiment`` scenario) loads no Fock-space code."""
+(the ``experiment`` scenario) loads no Fock-space code."""
 
 import cmath
 import math
@@ -10,21 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ConfigurationError, InvalidStateError
+from .states import SIX_STATE_AMPLITUDES
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# the six states measured in the universality test, as (alpha, beta) on (+2, -2)
-SIX_STATE_AMPLITUDES = {
-    "h": (1 / math.sqrt(2), 1 / math.sqrt(2)),
-    "v": (1 / (1j * math.sqrt(2)), -1 / (1j * math.sqrt(2))),
-    "minus2": (0.0, 1.0),
-    "plus2": (1.0, 0.0),
-    "a": ((1 - 1j) / 2, (1 + 1j) / 2),
-    "d": ((1 + 1j) / 2, (1 - 1j) / 2),
 }
 
 

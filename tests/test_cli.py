@@ -290,11 +290,13 @@ def test_every_rejected_key_exits_3_and_writes_nothing(name, config, data):
 
 @pytest.mark.parametrize("scenario, used, absent", [
     ("clone", "oamclone.cloning", {"yaml", "oamclone.svgplot", "oamclone.experiment",
-                                   "oamclone.interference", "oamclone.qudit"}),
+                                   "oamclone.interference", "oamclone.qudit",
+                                   "numpy.random"}),
     ("qudit", "oamclone.qudit", {"yaml", "oamclone.svgplot", "oamclone.experiment",
                                  "oamclone.interference"}),
     ("hom", "oamclone.interference", {"yaml", "oamclone.svgplot",
-                                      "oamclone.experiment", "oamclone.qudit"}),
+                                      "oamclone.experiment", "oamclone.qudit",
+                                      "numpy.random"}),
     ("stokes", "oamclone.experiment", {"yaml", "oamclone.svgplot",
                                        "oamclone.interference", "oamclone.qudit"}),
     # Table 1 needs qubit states and Poisson draws, not the Fock-space simulator
@@ -326,8 +328,25 @@ def test_importing_the_cli_loads_no_physics_module(tmp_path):
     assert res.returncode == 0, res.stderr
     loaded = set(json.loads(res.stdout))
     assert {m for m in loaded if m.startswith("oamclone")} == {
-        "oamclone", "oamclone.cli", "oamclone.qubit"}
+        "oamclone", "oamclone.cli", "oamclone.states"}
     assert "yaml" not in loaded
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("args", [["--version"], ["--help"], ["validate"],
+                                  ["validate", "--config", "seed.yaml"]], ids=" ".join)
+def test_commands_that_compute_nothing_load_no_numpy(args, tmp_path):
+    """Through ``python -m oamclone``; ``--config`` adds yaml, and nothing else does."""
+    (tmp_path / "seed.yaml").write_text("seed: 5\n")
+    res = subprocess.run([sys.executable, "-X", "importtime", "-m", "oamclone", *args],
+                         capture_output=True, text=True, cwd=tmp_path, env=child_env())
+    assert res.returncode == 0, res.stderr
+    # each line of the log ends in the name of one module imported
+    loaded = {line.rpartition("|")[2].strip() for line in res.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "oamclone.cli" in loaded
+    assert {m for m in loaded if m.split(".")[0] == "numpy"} == set()
+    assert ("yaml" in loaded) == ("--config" in args)
 
 
 @pytest.mark.parametrize("scenario", ["hom", "clone", "qudit", "experiment", "stokes"])
