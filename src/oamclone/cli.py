@@ -196,8 +196,8 @@ def run_hom(config):
         "coherence_length_um": interference.coherence_length(profile) * 1e6,
         "peak_coincidence": float(scan.coincidences.max()),
     }
-    return (["delay_um", "expected_coincidences", "enhancement"],
-            list(zip(delays_um, scan.coincidences, scan.coincidences)), results,
+    return (["delay_um", "expected_coincidences"],
+            list(zip(delays_um, scan.coincidences)), results,
             ("line_plot", delays_um, scan.coincidences,
              f"HOM coincidences ({cfg['state_a']}, {cfg['state_b']})",
              "delay (um)", "relative coincidences"))

@@ -73,7 +73,7 @@ def cloner_basis() -> ModeBasis:
 
 
 def embed_qubit(qubit: QubitSpec, basis, path: str) -> PhotonState:
-    return fock.superposition_state(basis, zip(label_modes(2, path), (qubit.alpha, qubit.beta)))
+    return fock.superposition_state(basis, zip(label_modes(2, path), qubit.amplitudes))
 
 
 @functools.lru_cache(maxsize=32)
@@ -126,14 +126,14 @@ def run_cloner_full(qubit: QubitSpec, n_ancilla_samples: int | None = None,
 
     The ancilla is the exact I/2, or ``n_ancilla_samples`` sampled states;
     ``port`` selects which output port is post-selected, both yield the same
-    clone state.
+    clone state.  The success probability is that one port's, 3/8 for the exact I/2.
     """
     if port not in ("a_prime", "b_prime"):
         raise ConfigurationError("port must be 'a_prime' or 'b_prime'")
     ancillas = None  # the core's exact I/2
     if n_ancilla_samples is not None:
         ancillas = _ancilla_states(n_ancilla_samples, seed)
-    clone, success, fidelity = label_clone((qubit.alpha, qubit.beta), port, ancillas)
+    clone, success, fidelity = label_clone(qubit.amplitudes, port, ancillas)
     return CloneResult(clone.matrix, float(success), fidelity, stokes_vector(clone.matrix))
 
 
@@ -143,12 +143,12 @@ def run_cloner_projector(qubit: QubitSpec, n_ancilla_samples: int | None = None,
 
     The ancilla reaches a' by reflection, which flips its OAM sign, so the
     pair there is projected from rho (x) X sigma X; half of the coalescing
-    pairs exit in a'.
+    pairs exit in a', so the success probability is that one port's (3/8 for I/2).
     """
     sigma = np.eye(2) / 2 if n_ancilla_samples is None else sum(
         w * np.outer(chi, np.conj(chi))[::-1, ::-1]  # X sigma X
         for chi, w in _ancilla_states(n_ancilla_samples, seed))
-    target = qubit.vector()
+    target = qubit.amplitudes
     clone, p = symmetric_subspace_clone(np.outer(target, target.conj()), sigma)
     fidelity = float(np.real(target.conj() @ clone @ target))
     return CloneResult(clone, p / 2.0, fidelity, stokes_vector(clone))

@@ -136,7 +136,10 @@ def superposition_state(basis: ModeBasis, terms) -> PhotonState:
     vec = np.zeros(basis.size, dtype=complex)
     for mode, amp in terms:
         vec[basis.index(mode)] += complex(amp)
-    norm = np.linalg.norm(vec)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below, not warned of
+        norm = np.linalg.norm(vec)
+    if not math.isfinite(norm):
+        raise InvalidStateError(f"amplitude norm {norm} is not finite")
     if norm < 1e-15:
         raise InvalidStateError("all-zero amplitudes")
     return PhotonState(basis, vec * (1.0 / norm))  # a complex divisor costs 6x
@@ -220,7 +223,7 @@ def project_keys(state: TwoPhotonState, path: str) -> tuple:
 
 @dataclass
 class DensityOperator:
-    """Hermitian PSD operator of unit trace over a basis's modes (or its pair kets)."""
+    """Hermitian PSD operator of unit trace over a basis's modes."""
 
     basis: ModeBasis
     matrix: np.ndarray

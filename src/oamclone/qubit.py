@@ -1,9 +1,9 @@
-"""The OAM qubit on the {+2, -2} basis: amplitudes, Pauli axes and Stokes vectors.
+"""The cloner's input state for every d, and the OAM qubit on {+2, -2} as its d = 2 case:
+amplitudes, Pauli axes and Stokes vectors.
 
 numpy only, so that code which needs qubit states but no two-photon evolution
 (the ``experiment`` scenario) loads no Fock-space code."""
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,22 +19,37 @@ PAULI = {
 }
 
 
-@dataclass
-class QubitSpec:
-    """Normalized qubit amplitudes on the {+2, -2} basis."""
+@dataclass(init=False, eq=False)
+class QuditSpec:
+    """Normalized amplitude vector of the d-level input state, in label order; the
+    package's one amplitude check.  Not a nonempty 1-D vector: ConfigurationError; not
+    finite, or all zero: InvalidStateError.  Normalized by ``math.hypot``, which neither
+    overflows nor underflows, only when that norm is more than 1e-12 from 1."""
 
-    alpha: complex
-    beta: complex
+    amplitudes: np.ndarray
 
-    def __post_init__(self):
-        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):
-            raise InvalidStateError("qubit amplitudes must be finite")
-        nrm = math.sqrt(abs(self.alpha) ** 2 + abs(self.beta) ** 2)
-        if abs(nrm - 1.0) > 1e-12:
-            if nrm < 1e-15:
-                raise InvalidStateError("zero qubit amplitudes")
-            self.alpha /= nrm
-            self.beta /= nrm
+    def __init__(self, amplitudes):
+        a = np.array(amplitudes, dtype=complex)
+        if a.ndim != 1 or a.size < 1:
+            raise ConfigurationError("amplitudes must be a nonempty vector")
+        nrm = math.hypot(*a.real.tolist(), *a.imag.tolist())  # nan or inf if any is
+        if not 0.0 < nrm < math.inf:
+            raise InvalidStateError("amplitudes must be finite and not all zero")
+        self.amplitudes = a / nrm if abs(nrm - 1.0) > 1e-12 else a
+
+    @property
+    def d(self) -> int:
+        return self.amplitudes.size
+
+
+class QubitSpec(QuditSpec):
+    """The d = 2 input state: amplitudes alpha of |+2> and beta of |-2>."""
+
+    def __init__(self, alpha: complex, beta: complex):
+        QuditSpec.__init__(self, (alpha, beta))
+
+    alpha = property(lambda self: self.amplitudes[0])
+    beta = property(lambda self: self.amplitudes[1])
 
     @classmethod
     def named(cls, label: str) -> "QubitSpec":
@@ -44,11 +59,8 @@ class QubitSpec:
             raise ConfigurationError(f"unknown state label {label!r}") from None
         return cls(a, b)
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.alpha, self.beta], dtype=complex)
-
     def bloch(self) -> np.ndarray:
-        v = self.vector()
+        v = self.amplitudes
         return np.array([np.real(np.vdot(v, PAULI[ax] @ v)) for ax in "xyz"])
 
 

@@ -19,33 +19,11 @@ import numpy as np
 from . import ConfigurationError
 from .cloning import label_clone, symmetric_subspace_clone
 from .fock import DensityOperator
+from .qubit import QuditSpec
 
 # brute_force_oracle's cap, read by the benchmark checks; its pair operator is
 # d^2 x d^2, so checks at larger d call cloning.symmetric_subspace_clone directly
 MAX_ORACLE_DIM = 8
-
-
-@dataclass
-class QuditSpec:
-    """Normalized amplitude vector of the d-level input state."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.ndim != 1 or self.amplitudes.size < 1:
-            raise ConfigurationError("amplitudes must be a nonempty vector")
-        if not np.all(np.isfinite(self.amplitudes)):
-            raise ConfigurationError("amplitudes must be finite")
-        nrm = np.linalg.norm(self.amplitudes)
-        if abs(nrm - 1.0) > 1e-12:
-            if nrm < 1e-15:
-                raise ConfigurationError("zero qudit amplitudes")
-            self.amplitudes = self.amplitudes / nrm
-
-    @property
-    def d(self) -> int:
-        return self.amplitudes.size
 
 
 @dataclass
@@ -56,16 +34,16 @@ class QuditCloneResult:
 
 
 def qudit_formula(d: int):
-    """Closed-form optimal cloning fidelity and success probability."""
+    """Closed-form optimal cloning fidelity and success probability over both ports."""
     if d < 1:
         raise ConfigurationError("dimension must be >= 1")
     return 0.5 + 1.0 / (d + 1.0), (d + 1.0) / (2.0 * d)
 
 
 def qudit_clone(spec: QuditSpec) -> QuditCloneResult:
-    """Run the symmetrization channel with the I_d/d ancilla over its label states."""
+    """Run the symmetrization channel with the I_d/d ancilla over its label states; both
+    ports give the same clone, so its success probability is over both ports."""
     clone, success, fidelity = label_clone(spec.amplitudes, "a_prime")
-    # both BS ports contribute equally; quote the combined success probability
     return QuditCloneResult(fidelity, 2.0 * success, clone)
 
 

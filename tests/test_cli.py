@@ -483,7 +483,7 @@ class TestScenarios:
         assert doc["results"]["enhancement_ratio"] == pytest.approx(2.0)
         assert doc["results"]["coherence_length_um"] == pytest.approx(105.3375)
         lines = (out / "hom.csv").read_text().splitlines()
-        assert lines[0] == "delay_um,expected_coincidences,enhancement"
+        assert lines[0] == "delay_um,expected_coincidences"
         assert len(lines) == 62
         mid = lines[31].split(",")  # the zero-delay row of the 61-step scan
         assert float(mid[0]) == pytest.approx(0.0)

@@ -49,7 +49,7 @@ def clone_with_pure_ancilla(q: QubitSpec):
     basis = cloning.cloner_basis()
     rho, success = elements.coalesce(cloning.embed_qubit(q, basis, "a"),
                                      [(cloning.embed_qubit(q, basis, "b"), 1.0)], "a_prime")
-    amps = q.vector()
+    amps = q.amplitudes
     return rho.matrix, success, float(np.real(amps.conj() @ rho.matrix @ amps))
 
 
@@ -57,7 +57,7 @@ class TestQubitSpec:
     def test_named_states_are_normalized_and_where_expected(self):
         for label in ("h", "v", "minus2", "plus2", "a", "d"):
             q = QubitSpec.named(label)
-            assert np.linalg.norm(q.vector()) == pytest.approx(1.0)
+            assert np.linalg.norm(q.amplitudes) == pytest.approx(1.0)
         assert np.allclose(QubitSpec.named("plus2").bloch(), [0, 0, 1], atol=1e-12)
         assert np.allclose(QubitSpec.named("minus2").bloch(), [0, 0, -1], atol=1e-12)
         # h and v are the x eigenstates, a and d the y eigenstates
@@ -146,7 +146,7 @@ class TestOptimalCloning:
             clone, success, fidelity = clone_with_pure_ancilla(q)
             assert fidelity == pytest.approx(1.0, abs=1e-12)
             assert success == pytest.approx(0.5, abs=1e-12)
-            assert np.allclose(clone, np.outer(q.vector(), q.vector().conj()), atol=1e-12)
+            assert np.allclose(clone, np.outer(q.amplitudes, q.amplitudes.conj()), atol=1e-12)
 
     def test_orthogonal_flipped_ancilla_passes_unenhanced(self):
         # ancilla |+2> against input |+2>: reflections make them orthogonal

@@ -195,6 +195,14 @@ class TestSuperpositionState:
         with pytest.raises(InvalidStateError):
             superposition_state(basis, [(ModeIndex("a", "L", 0), 0.0)])
 
+    @pytest.mark.parametrize("amplitudes", [(math.nan, 1.0), (1e200, 1e200)])
+    def test_non_finite_norm_rejected(self, amplitudes):
+        # neither an all-NaN photon nor, from an overflowing norm, an all-zero one
+        basis = build_basis(("a",), (-2, 2))
+        modes = (ModeIndex("a", "L", 2), ModeIndex("a", "L", -2))
+        with pytest.raises(InvalidStateError, match="not finite"):
+            superposition_state(basis, zip(modes, amplitudes))
+
 
 class TestSymmetrizeProduct:
     def test_identical_inputs_single_double_occupancy(self):

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from oamclone import ConfigurationError, cloning, elements, fock, qubit
+from oamclone import ConfigurationError, InvalidStateError, cloning, elements, fock, qubit
 from oamclone.cloning import symmetric_subspace_clone
 from oamclone.qudit import QuditSpec, brute_force_oracle, qudit_clone, qudit_formula
 from fresh_process import cold_census
@@ -76,12 +78,14 @@ class TestChannelAgreement:
         res = qudit_clone(QuditSpec(np.array([1.0, 0.0])))
         assert res.fidelity == pytest.approx(5.0 / 6.0, abs=1e-12)
         assert res.success_probability == pytest.approx(0.75, abs=1e-12)
-        # the whole clone, bit for bit: both front ends return it in label order
+        # the whole clone, bit for bit: both front ends return it in label order, and a
+        # QubitSpec is the d = 2 QuditSpec, so it enters the qudit front end as it is
         rng = np.random.default_rng(45)
         qubits = [qubit.QubitSpec.named(name) for name in qubit.SIX_STATE_AMPLITUDES]
         for q in qubits + [qubit.haar_random_qubit(rng) for _ in range(20)]:
-            rho = qudit_clone(QuditSpec([q.alpha, q.beta])).clone_density
+            rho = qudit_clone(q).clone_density
             assert np.array_equal(rho.matrix, cloning.run_cloner_full(q).clone_density)
+            assert brute_force_oracle(q)[0] == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_oracle_dimension_cap(self):
         with pytest.raises(ConfigurationError):
@@ -210,7 +214,7 @@ class TestLabelStates:
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InvalidStateError):
         QuditSpec(np.zeros(3))
     with pytest.raises(ConfigurationError):
         QuditSpec(np.ones((2, 2)))
@@ -222,5 +226,22 @@ def test_spec_validation():
 @pytest.mark.parametrize("amplitudes", [
     [np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0], [1.0, complex(0.0, np.nan)]])
 def test_non_finite_amplitudes_rejected(amplitudes):
-    with pytest.raises(ConfigurationError, match="finite"):
+    with pytest.raises(InvalidStateError, match="finite"):
         QuditSpec(np.array(amplitudes))
+
+
+def test_every_scale_of_a_vector_gives_one_spec():
+    # one spec for every d, the qubit's included; math.hypot's norm neither
+    # overflows at 1e300 nor underflows at 1e-300
+    assert QuditSpec is qubit.QuditSpec and issubclass(qubit.QubitSpec, QuditSpec)
+    rng = np.random.default_rng(80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in range(1, 25):
+            phi = random_qudit(d, rng).amplitudes
+            ref = QuditSpec(phi).amplitudes
+            for scale in 10.0 ** np.arange(-300, 301, 25):
+                assert np.max(np.abs(QuditSpec(scale * phi).amplitudes - ref)) <= 1e-15
+                if d == 2:
+                    q = qubit.QubitSpec(*(scale * phi))
+                    assert np.max(np.abs(q.amplitudes - ref)) <= 1e-15
