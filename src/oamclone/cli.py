@@ -31,7 +31,7 @@ STATE_NAMES = tuple(SIX_STATE_AMPLITUDES)
 # Upper bounds on the sizes a config controls, with the time of one main()
 # call at the bound, interpreter start-up excluded (2-core Xeon, Python 3.11,
 # numpy 2.4):
-MAX_D = 24  # qudit d = 1..24 in 0.09-0.13 s with cold caches, 0.03-0.05 s warm; grows about as d^2
+MAX_D = 24  # qudit d = 1..24: 0.15-0.21 s cold, numpy's import included; 0.03-0.05 s warm; grows as d^2
 MAX_DELAY_STEPS = 100_000  # about 3 us per delay: 0.27-0.35 s and a 3.4 MB CSV
 MAX_STOKES_STATES = 60  # ten passes over the six states
 MAX_STOKES_RUNS = 1_000  # 0.07 ms per run and state: 4.2 s and a 4.9 MB CSV for 60 states

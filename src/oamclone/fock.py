@@ -26,13 +26,17 @@ HERM_ATOL = 1e-12
 PSD_ATOL = 1e-10
 # From this many basis modes up, both two-photon kernels touch only the occupied
 # modes k (before the splitter a qudit branch occupies d + 1 of its 4d modes):
-# symmetrize_product writes S[k, k], elements.apply contracts M[:, k] S[k, k] M[:, k]^T.
+# symmetrize_product writes S[k, k], elements.apply writes only the rows r that
+# M[:, k] reaches, S'[r, r] = M[r, k] S[k, k] M[r, k]^T.
 # Best of 7 x 500, dense vs gathered (us), one qudit branch, eight runs (the lowest
-# of each shown).  apply: n = 32 16.0 vs 17.5, dense faster in 8 of 8; n = 36 19.5
-# vs 18.6, gathered faster in 8 of 8; n = 40 23.2 vs 19.6; n = 48 45 vs 24.
+# of each shown).  apply (reached-block kernel): n = 32 16.2 vs 19.1, dense faster
+# in 8 of 8; n = 36 19.7 vs 20.9, dense faster in 8 of 8; n = 40 25.2 vs 22.2,
+# gathered faster in 7 of 8; n = 48 45 vs 33; n = 96 157 vs 48.
 # symmetrize_product: n = 32 7.2 vs 7.8, dense faster in 7 of 8; n = 36 8.1 vs 8.1,
 # gathered faster in 3 of 8; n = 40 9.3 vs 8.3, gathered faster in 7 of 8; n = 48
-# 12.3 vs 9.1; n = 96 111 vs 14.
+# 12.3 vs 9.1; n = 96 111 vs 14.  apply's crossover lies between 36 and 40; the
+# bound stays at 36, where apply's gap is about 1 us a branch, within the noise of
+# a d = 9 clone.
 GATHER_MIN_MODES = 36
 
 

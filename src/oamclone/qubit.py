@@ -23,8 +23,9 @@ PAULI = {
 class QuditSpec:
     """Normalized amplitude vector of the d-level input state, in label order; the
     package's one amplitude check.  Not a nonempty 1-D vector: ConfigurationError; not
-    finite, or all zero: InvalidStateError.  Normalized by ``math.hypot``, which neither
-    overflows nor underflows, only when that norm is more than 1e-12 from 1."""
+    finite, or all zero: InvalidStateError.  Normalized by ``math.hypot``, which does not
+    underflow, only when that norm is more than 1e-12 from 1; finite entries whose norm
+    exceeds the largest double are first divided by the largest |real or imag part|."""
 
     amplitudes: np.ndarray
 
@@ -32,7 +33,11 @@ class QuditSpec:
         a = np.array(amplitudes, dtype=complex)
         if a.ndim != 1 or a.size < 1:
             raise ConfigurationError("amplitudes must be a nonempty vector")
-        nrm = math.hypot(*a.real.tolist(), *a.imag.tolist())  # nan or inf if any is
+        parts = (*a.real.tolist(), *a.imag.tolist())
+        nrm = math.hypot(*parts)  # nan or inf if any part is
+        if nrm == math.inf and all(map(math.isfinite, parts)):  # the norm alone overflows
+            a = a / max(map(abs, parts))
+            nrm = math.hypot(*a.real.tolist(), *a.imag.tolist())
         if not 0.0 < nrm < math.inf:
             raise InvalidStateError("amplitudes must be finite and not all zero")
         self.amplitudes = a / nrm if abs(nrm - 1.0) > 1e-12 else a

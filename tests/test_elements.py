@@ -231,6 +231,50 @@ class TestApply:
         out = apply(bs, two).amplitudes
         assert np.max(np.abs(out - dense)) <= 16 * np.finfo(float).eps
 
+    def test_at_the_gather_size_the_zero_state_maps_to_zero(self):
+        basis = cloning.label_basis(24)
+        assert basis.size == 96
+        zero = fock.TwoPhotonState(basis, np.zeros((96, 96)))
+        out = apply(elements.splitter(basis), zero).amplitudes
+        assert out.shape == (96, 96) and not out.any()
+
+    def test_at_the_gather_size_any_element_writes_only_the_rows_it_reaches(self):
+        # a permutation with random phases scatters the reached rows over the basis
+        basis = cloning.label_basis(24)
+        assert basis.size == 96
+        rng = np.random.default_rng(41)
+        perm = rng.permutation(96)
+        mat = np.zeros((96, 96), dtype=complex)
+        mat[perm, np.arange(96)] = np.exp(2j * np.pi * rng.random(96))
+        op = elements.ElementOperator(basis, mat).validate()
+        occupied = rng.choice(96, size=25, replace=False)
+        u, v = (np.zeros(96, dtype=complex) for _ in range(2))
+        for w in (u, v):
+            w[occupied] = rng.normal(size=25) + 1j * rng.normal(size=25)
+        two = fock.symmetrize_product(PhotonState(basis, u / np.linalg.norm(u)),
+                                      PhotonState(basis, v / np.linalg.norm(v)))
+        out = apply(op, two).amplitudes
+        dense = mat @ two.amplitudes @ mat.T
+        assert np.max(np.abs(out - dense)) <= 16 * np.finfo(float).eps
+        reached = np.zeros(96, dtype=bool)
+        reached[perm[occupied]] = True
+        assert reached.sum() == 25 and np.ptp(np.flatnonzero(reached)) > 50
+        assert not out[~np.outer(reached, reached)].any()
+
+    def test_at_the_gather_size_primed_inputs_reach_paths_a_and_b(self):
+        basis, labels = cloning.label_basis(24), cloning.oam_labels(24)
+        assert basis.size == 96
+        bs = elements.splitter(basis)
+        rng = np.random.default_rng(43)
+        pa, pb = (superposition_state(basis, [(ModeIndex(path, "L", m), c) for m, c in
+                                              zip(labels, rng.normal(size=24) + 1j)])
+                  for path in ("a_prime", "b_prime"))
+        two = fock.symmetrize_product(pa, pb)
+        out = apply(bs, two).amplitudes
+        dense = bs.matrix @ two.amplitudes @ bs.matrix.T
+        assert np.max(np.abs(out - dense)) <= 16 * np.finfo(float).eps
+        assert not out[48:].any() and out[:48, :48].any()
+
     def test_below_the_gather_size_the_product_is_the_dense_one(self):
         basis = cloning.cloner_basis()
         assert basis.size == 8

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -224,10 +225,21 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("amplitudes", [
-    [np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0], [1.0, complex(0.0, np.nan)]])
+    [np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0], [1.0, complex(0.0, np.nan)],
+    [np.inf, 1.7e308], [np.nan, 1.7e308, 1.7e308]])
 def test_non_finite_amplitudes_rejected(amplitudes):
-    with pytest.raises(InvalidStateError, match="finite"):
+    with warnings.catch_warnings(), pytest.raises(InvalidStateError, match="finite"):
+        warnings.simplefilter("error")  # and no rescale of a non-finite vector
         QuditSpec(np.array(amplitudes))
+
+
+def test_finite_amplitudes_whose_norm_overflows_are_normalized():
+    # the norm, not any entry, exceeds the largest double
+    r = 1 / math.sqrt(2)
+    assert np.array_equal(QuditSpec([1.7e308, 1.7e308]).amplitudes, [r, r])
+    assert np.array_equal(qubit.QubitSpec(1.7e308, 1.7e308j).amplitudes, [r, 1j * r])
+    big = QuditSpec(np.full(24, -1.7e308 + 1.7e308j)).amplitudes
+    assert np.max(np.abs(big - QuditSpec(np.full(24, -1 + 1j)).amplitudes)) <= 1e-15
 
 
 def test_every_scale_of_a_vector_gives_one_spec():
