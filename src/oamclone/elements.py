@@ -117,19 +117,16 @@ def coalesce(psi_a: PhotonState, ancillas, port: str):
 
     Returns the one-photon state over the port's sub-basis, averaged over the
     ancillas ``(psi_b, w)`` (any iterable, read once) with weights w_k p_k,
-    and the success probability sum_k w_k p_k.  The weights are a probability
-    distribution: each finite and >= 0, summing to 1 (``math.fsum``, exact where
-    a running sum of 100,000 weights 1/n drifts by 2e-12); ConfigurationError
-    otherwise, or if the success probability is 0.  A pair that never reaches
-    the port (p_k = 0) adds nothing and is skipped.
+    and the success probability sum_k w_k p_k.  The weights must be a distribution:
+    ``fock.checked_weight`` as each is read, ``fock.check_total`` at the end;
+    ConfigurationError otherwise, or if the success probability is 0.  A pair that
+    never reaches the port (p_k = 0) adds nothing and is skipped.
     """
     bs = splitter(psi_a.basis)
     weights = []
     success = acc = 0.0
     for psi_b, w in ancillas:
-        if not (w >= 0.0 and math.isfinite(w)):
-            raise ConfigurationError(f"ancilla weight {w} is not finite and >= 0")
-        weights.append(w)
+        weights.append(fock.checked_weight(w, "ancilla"))
         kept, prob = fock.project_keys(apply(bs, fock.symmetrize_product(psi_a, psi_b)), port)
         if prob == 0.0:
             continue
@@ -137,7 +134,5 @@ def coalesce(psi_a: PhotonState, ancillas, port: str):
         success += w * prob
     if success == 0.0:
         raise ConfigurationError("no post-selected weight: no ancilla, or none with weight")
-    total = math.fsum(weights)
-    if abs(total - 1.0) > fock.NORM_ATOL:
-        raise ConfigurationError(f"ancilla weights sum to {total}, expected 1")
+    fock.check_total(weights, "ancilla")
     return DensityOperator(kept.basis, acc / success), success

@@ -7,6 +7,9 @@ matrix S over the n modes, |psi> = sum_ij S_ij adag_i adag_j |0>, normalized
 so that 2 ||S||_F^2 = 1.  An optical element M acts as S -> M S M^T, a port
 post-selection returns the block of S on the port's modes as a state over
 the port's sub-basis, and the reduced single-photon state is 2 S S^dag.
+One rule each: ``superposition_state`` normalizes a photon (``pure_density`` calls
+it), and ``checked_weight`` and ``check_total`` hold the weights of ``mix`` and
+``elements.coalesce`` to a distribution.
 """
 
 from __future__ import annotations
@@ -252,32 +255,33 @@ def pure_density(state: PhotonState) -> DensityOperator:
     """Rank-1 projector onto a pure single-photon state."""
     if not isinstance(state, PhotonState):
         raise TypeError(f"unsupported state type {type(state)}")
-    v = state.amplitudes
-    n = np.linalg.norm(v)
-    if n < 1e-15:
-        raise InvalidStateError("cannot form density of a zero state")
-    v = v / n
+    v = superposition_state(state.basis, zip(state.basis.modes, state.amplitudes)).amplitudes
     return DensityOperator(state.basis, np.outer(v, v.conj()))
 
 
-def mix(states) -> DensityOperator:
-    """Convex combination of density operators with matching bases."""
-    states = list(states)
-    if not states:
-        raise ConfigurationError("empty mixture")
-    total = 0.0
-    first, _ = states[0]
-    acc = np.zeros_like(first.matrix)
-    for rho, w in states:
-        if w < -NORM_ATOL:
-            raise ConfigurationError(f"negative mixture weight {w}")
-        if rho.basis != first.basis:
-            raise BasisMismatchError("mixture over mismatched bases")
-        acc = acc + w * rho.matrix
-        total += w
+def checked_weight(w, kind: str):
+    """``w`` if it is finite and >= 0, else ConfigurationError naming the ``kind`` weight."""
+    if not (w >= 0.0 and math.isfinite(w)):
+        raise ConfigurationError(f"{kind} weight {w} is not finite and >= 0")
+    return w
+
+
+def check_total(weights, kind: str) -> None:
+    """ConfigurationError unless ``math.fsum`` of the weights is within NORM_ATOL of 1
+    (exact, where a running sum of 100,000 weights 1/n drifts by 2e-12)."""
+    total = math.fsum(weights)
     if abs(total - 1.0) > NORM_ATOL:
-        raise ConfigurationError(f"mixture weights sum to {total}, expected 1")
-    return DensityOperator(first.basis, acc)
+        raise ConfigurationError(f"{kind} weights sum to {total}, expected 1")
+
+
+def mix(states) -> DensityOperator:
+    """Convex combination of density operators over one basis (an empty list sums to 0)."""
+    states = list(states)
+    check_total([checked_weight(w, "mixture") for _, w in states], "mixture")
+    basis = states[0][0].basis
+    if any(rho.basis != basis for rho, _ in states):
+        raise BasisMismatchError("mixture over mismatched bases")
+    return DensityOperator(basis, sum(w * rho.matrix for rho, w in states))
 
 
 def reduced_single_pure(state: TwoPhotonState) -> DensityOperator:

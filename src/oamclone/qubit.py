@@ -1,5 +1,6 @@
 """The cloner's input state for every d, and the OAM qubit on {+2, -2} as its d = 2 case:
-amplitudes, Pauli axes and Stokes vectors.
+amplitudes, Pauli axes and Stokes vectors.  ``stokes_vector`` is the one reader of the
+Pauli axes: ``bloch`` is the Stokes vector of the state's projector.
 
 numpy only, so that code which needs qubit states but no two-photon evolution
 (the ``experiment`` scenario) loads no Fock-space code."""
@@ -65,8 +66,7 @@ class QubitSpec(QuditSpec):
         return cls(a, b)
 
     def bloch(self) -> np.ndarray:
-        v = self.amplitudes
-        return np.array([np.real(np.vdot(v, PAULI[ax] @ v)) for ax in "xyz"])
+        return stokes_vector(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 def stokes_vector(rho: np.ndarray) -> np.ndarray:

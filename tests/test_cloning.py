@@ -66,6 +66,15 @@ class TestQubitSpec:
         assert abs(QubitSpec.named("a").bloch()[1]) == pytest.approx(1.0)
         assert abs(QubitSpec.named("d").bloch()[1]) == pytest.approx(1.0)
 
+    def test_bloch_is_the_stokes_vector_of_the_projector(self):
+        for label in ("h", "v", "minus2", "plus2", "a", "d"):
+            v = QubitSpec.named(label).amplitudes
+            assert np.array_equal(QubitSpec.named(label).bloch(),
+                                  stokes_vector(np.outer(v, v.conj())))
+        # the x eigenstates have no y or z part, exactly, as the golden files record
+        for label in ("h", "v"):
+            assert list(QubitSpec.named(label).bloch()[1:]) == [0.0, 0.0]
+
     def test_unknown_label(self):
         with pytest.raises(ConfigurationError):
             QubitSpec.named("x")

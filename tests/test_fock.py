@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -356,6 +357,15 @@ class TestPureDensity:
         assert rho.matrix[i, j] == pytest.approx(1j / 2)
         assert rho.matrix[j, i] == pytest.approx(-1j / 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_amplitudes_are_refused(self, bad):
+        # a NaN or infinite norm would give a NaN projector, and for inf a warning
+        psi = PhotonState(build_basis(("a",), (-2, 2), pols=("L",)), [bad, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidStateError, match="not finite"):
+                pure_density(psi)
+
 
 class TestMix:
     def _basis_states(self):
@@ -387,6 +397,27 @@ class TestMix:
         _, plus, minus = self._basis_states()
         with pytest.raises(ConfigurationError):
             mix([(pure_density(plus), 0.6), (pure_density(minus), 0.6)])
+
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0), (1.0 + 1e-13, -1e-13)],
+                             ids=["nan", "slightly-negative"])
+    def test_weights_that_are_not_a_distribution_are_rejected(self, weights):
+        # each weight is checked on its own: NaN compares false with every bound, and
+        # a -1e-13 weight leaves the total within NORM_ATOL of 1
+        _, plus, minus = self._basis_states()
+        with pytest.raises(ConfigurationError, match="mixture weight"):
+            mix(zip([pure_density(plus), pure_density(minus)], weights))
+
+    def test_weights_sum_to_one_exactly(self):
+        # the weights coalesce accepts for cli.MAX_ANCILLA_SAMPLES sampled ancillas:
+        # a running sum of them misses 1 by more than NORM_ATOL
+        _, plus, _ = self._basis_states()
+        n = 100_000
+        rho = mix([(pure_density(plus), 1.0 / n)] * n)
+        assert np.allclose(rho.matrix, pure_density(plus).matrix, atol=1e-10)
+
+    def test_empty_mixture_is_rejected(self):
+        with pytest.raises(ConfigurationError):  # its weights sum to 0
+            mix([])
 
     def test_psd_preserved_random_convex_combinations(self):
         basis = build_basis(("a",), (-2, 0, 2))
