@@ -209,10 +209,16 @@ def run_clone(config):
     cfg = config["clone"]
     q = QubitSpec.named(cfg["input"])
     result = cloning.run_cloner_full(q, cfg["ancilla_samples"], seed=config["seed"])
+    results = {
+        "input_bloch": [float(x) for x in q.bloch()],
+        "fidelity": float(result.fidelity),
+        "success_prob": float(result.success_probability),
+        "stokes": [float(x) for x in result.stokes],
+    }
     return (["input_state", "fidelity", "success_prob", "s1", "s2", "s3"],
             [(cfg["input"], result.fidelity, result.success_probability,
               *result.stokes)],
-            result.to_record(q),
+            results,
             ("bloch_projection", [(cfg["input"], q.bloch(), result.stokes)],
              "Cloned qubit Bloch vector"))
 
@@ -248,9 +254,6 @@ def run_experiment(config):
     )
     report = experiment.table_one_run(model, budget, float(cfg["duration_s"]),
                                       config["seed"])
-    # a state without counts has no fidelity estimate: empty cells, not nan
-    rows = [(label, c1, c2, *((f, s) if c1 + c2 else (None, None)))
-            for label, c1, c2, f, s in report.rows]
     lo, hi = experiment.rate_budget(budget)
     results = {
         "predicted_fidelity": report.predicted,
@@ -260,9 +263,9 @@ def run_experiment(config):
     }
     if report.mean_fidelity is None:
         results["reason"] = "no state got coincidence counts; raise experiment.duration_s"
-    counted = [i for i, row in enumerate(rows) if row[3] is not None]
-    return (["state_label", "C1", "C2", "F_exp", "sigma"], rows, results,
-            ("line_plot", counted, [rows[i][3] for i in counted],
+    counted = [i for i, row in enumerate(report.rows) if row[3] is not None]  # None: no counts
+    return (["state_label", "C1", "C2", "F_exp", "sigma"], report.rows, results,
+            ("line_plot", counted, [report.rows[i][3] for i in counted],
              "Simulated per-state fidelity", "state index", "F_exp"))
 
 

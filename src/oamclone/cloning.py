@@ -40,14 +40,6 @@ class CloneResult:
     fidelity: float
     stokes: np.ndarray
 
-    def to_record(self, input_qubit: QubitSpec) -> dict:
-        return {
-            "input_bloch": [float(x) for x in input_qubit.bloch()],
-            "fidelity": float(self.fidelity),
-            "success_prob": float(self.success_probability),
-            "stokes": [float(x) for x in self.stokes],
-        }
-
 
 def oam_labels(d: int) -> tuple:
     """The cloner's d OAM labels 2(d-1), 2(d-3), ..., -2(d-1): closed under the
@@ -176,11 +168,7 @@ def symmetric_subspace_clone(rho: np.ndarray, sigma: np.ndarray):
 
 @dataclass
 class SweepSummary:
-    per_state: dict
-    min_fidelity: float
-    max_fidelity: float
-    mean_fidelity: float
-    std_fidelity: float
+    per_state: dict  # label -> fidelity
 
 
 def universality_sweep(n: int, seed: int | None = 0) -> SweepSummary:
@@ -191,7 +179,4 @@ def universality_sweep(n: int, seed: int | None = 0) -> SweepSummary:
     qubits = {label: QubitSpec.named(label) for label in SIX_STATE_AMPLITUDES}
     for k in range(n):
         qubits[f"random_{k}"] = haar_random_qubit(rng)
-    fids = {label: run_cloner_full(q).fidelity for label, q in qubits.items()}
-    values = np.array(list(fids.values()))
-    return SweepSummary(fids, float(values.min()), float(values.max()),
-                        float(values.mean()), float(values.std()))
+    return SweepSummary({label: run_cloner_full(q).fidelity for label, q in qubits.items()})

@@ -44,8 +44,9 @@ class ElementOperator:
 
     def validate(self):
         m = self.matrix
-        if not np.allclose(m.conj().T @ m, np.eye(len(m)), atol=UNITARY_ATOL):
-            raise ConfigurationError("operator is not unitary")
+        err = float(np.abs(m.conj().T @ m - np.eye(len(m))).max())  # np.allclose adds rtol
+        if not err <= UNITARY_ATOL:
+            raise ConfigurationError(f"operator is not unitary: max |M^dag M - I| = {err:.2e}")
         return self
 
 
@@ -86,10 +87,10 @@ def beam_splitter(basis: ModeBasis) -> ElementOperator:
     entry, so the full matrix is unitary; those input modes are never
     populated before the splitter in any scenario.
     """
-    needed = {"a", "b", "a_prime", "b_prime"}
-    if not needed <= basis.paths:
+    if not set(fock.PATHS) <= {mode.path for mode in basis.modes}:
         raise ConfigurationError("beam splitter needs paths a, b, a_prime, b_prime")
-    if any(-m not in basis.oam_set for m in basis.oam_set):
+    oam_set = {mode.oam for mode in basis.modes}
+    if any(-m not in oam_set for m in oam_set):
         raise ConfigurationError("OAM set not closed under m -> -m")
     n = basis.size
     mat = np.zeros((n, n), dtype=complex)

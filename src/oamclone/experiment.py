@@ -98,8 +98,8 @@ def rate_budget(budget: LossBudget):
 class CountRecord:
     c1: int
     c2: int
-    f_exp: float
-    poisson_error: float
+    f_exp: float | None  # None without counts
+    poisson_error: float | None
 
     @property
     def total(self) -> int:
@@ -118,33 +118,38 @@ def fidelity_from_counts(c1: int, c2: int):
     return f, sigma
 
 
+def _poisson_pair(rng, mean: float, p: float):
+    """Poisson draws with means mean * p, then mean * (1 - p); refused above numpy's limit."""
+    means = [mean * p, mean * (1.0 - p)]
+    if max(means) > POISSON_MEAN_MAX:
+        raise ConfigurationError(f"Poisson mean {max(means):.3g} above numpy's limit")
+    return rng.poisson(means)
+
+
 def simulate_counts(input_qubit: QubitSpec, model: ImperfectionModel,
                     budget: LossBudget, duration_s: float, seed) -> CountRecord:
     """Draw Poisson coincidence counts for the clone / anti-clone detectors.
 
     The D_T x D_1 and D_T x D_2 streams are independent Poisson draws with
-    means duration * rate * F and duration * rate * (1 - F), where
-    F = predicted_fidelity(model).  Deterministic for a fixed seed.
-    ``input_qubit`` is not read: the universal cloner's counts do not depend on it.
+    means duration * rate * F and duration * rate * (1 - F), where F =
+    predicted_fidelity(model); without counts, f_exp and poisson_error are None.
+    Deterministic for a fixed seed.  ``input_qubit`` is not read: the universal
+    cloner's counts do not depend on it.
     """
     if not (math.isfinite(duration_s) and duration_s >= 0):
         raise ConfigurationError("duration must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     rate = budget.rate(budget.default_coupling)
-    f = predicted_fidelity(model)  # >= 1/2, so c1 has the larger Poisson mean
-    if duration_s * rate * f > POISSON_MEAN_MAX:
-        raise ConfigurationError(f"Poisson mean {duration_s * rate * f:.3g} above numpy's limit")
-    c1 = int(rng.poisson(duration_s * rate * f))
-    c2 = int(rng.poisson(duration_s * rate * (1.0 - f)))
+    c1, c2 = map(int, _poisson_pair(rng, duration_s * rate, predicted_fidelity(model)))
     if c1 + c2 == 0:
-        return CountRecord(0, 0, math.nan, math.nan)
+        return CountRecord(0, 0, None, None)
     f_exp, sigma = fidelity_from_counts(c1, c2)
     return CountRecord(c1, c2, f_exp, sigma)
 
 
 @dataclass
 class TableOneReport:
-    rows: list  # (label, c1, c2, f_exp, sigma)
+    rows: list  # (label, c1, c2, f_exp, sigma), None f_exp and sigma without counts
     mean_fidelity: float | None  # over the states that got counts; None if none did
     predicted: float
 
@@ -197,8 +202,7 @@ def simulate_stokes(input_qubit: QubitSpec, counts_per_basis: int, seed, *,
     est = np.zeros(3)
     for i, s in enumerate(ideal):
         p_plus = min(max((1.0 + s) / 2.0, 0.0), 1.0)  # |s| may pass 1 by the rounding
-        c_plus = rng.poisson(counts_per_basis * p_plus)
-        c_minus = rng.poisson(counts_per_basis * (1.0 - p_plus))
+        c_plus, c_minus = _poisson_pair(rng, counts_per_basis, p_plus)
         total = c_plus + c_minus
         est[i] = 0.0 if total == 0 else (c_plus - c_minus) / total
     return StokesRun(input_qubit.bloch(), est, float(np.linalg.norm(est)))

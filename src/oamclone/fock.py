@@ -72,8 +72,6 @@ class ModeBasis:
         self._hash = hash(modes)  # once: every splitter-cache lookup hashes the basis
         self._lookup = lookup
         self._ports = {}
-        self.oam_set = frozenset(m.oam for m in modes)
-        self.paths = frozenset(m.path for m in modes)
 
     @property
     def size(self) -> int:
@@ -275,13 +273,17 @@ def check_total(weights, kind: str) -> None:
 
 
 def mix(states) -> DensityOperator:
-    """Convex combination of density operators over one basis (an empty list sums to 0)."""
+    """Convex combination of density operators over one basis (an empty list sums to 0),
+    summed entry by entry with ``math.fsum``, which does not drift with the state count."""
     states = list(states)
     check_total([checked_weight(w, "mixture") for _, w in states], "mixture")
     basis = states[0][0].basis
     if any(rho.basis != basis for rho, _ in states):
         raise BasisMismatchError("mixture over mismatched bases")
-    return DensityOperator(basis, sum(w * rho.matrix for rho, w in states))
+    terms = np.array([w * rho.matrix for rho, w in states])
+    total = [complex(math.fsum(t.real.tolist()), math.fsum(t.imag.tolist()))
+             for t in terms.reshape(len(states), -1).T]
+    return DensityOperator(basis, np.reshape(total, terms.shape[1:]))
 
 
 def reduced_single_pure(state: TwoPhotonState) -> DensityOperator:

@@ -296,3 +296,9 @@ class TestApply:
         lossy = elements.ElementOperator(basis, np.diag([1.0, 0.5]))
         with pytest.raises(ConfigurationError):
             lossy.validate()
+        # (1 + 1e-6) M has M^dag M - I = 2e-6 on the diagonal, 2e4 x UNITARY_ATOL, which
+        # np.allclose's default rtol of 1e-5 would let through
+        bs = elements.splitter(cloning.label_basis(2))
+        scaled = elements.ElementOperator(bs.basis, (1.0 + 1e-6) * bs.matrix)
+        with pytest.raises(ConfigurationError, match="not unitary"):
+            scaled.validate()

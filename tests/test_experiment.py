@@ -140,7 +140,7 @@ class TestSimulateCounts:
         rec = simulate_counts(QubitSpec.named("h"), ImperfectionModel(),
                               LossBudget(), 0.0, 0)
         assert rec.total == 0
-        assert math.isnan(rec.f_exp)
+        assert rec.f_exp is None and rec.poisson_error is None
 
     @pytest.mark.parametrize("duration_s", [math.nan, math.inf])
     def test_non_finite_duration_rejected(self, duration_s):

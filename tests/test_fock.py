@@ -409,10 +409,11 @@ class TestMix:
 
     def test_weights_sum_to_one_exactly(self):
         # the weights coalesce accepts for cli.MAX_ANCILLA_SAMPLES sampled ancillas:
-        # a running sum of them misses 1 by more than NORM_ATOL
+        # a running sum of them, or of the weighted matrices, misses 1 by more than
+        # NORM_ATOL (the trace by 1.9e-12), and validate refuses that
         _, plus, _ = self._basis_states()
         n = 100_000
-        rho = mix([(pure_density(plus), 1.0 / n)] * n)
+        rho = mix([(pure_density(plus), 1.0 / n)] * n).validate()
         assert np.allclose(rho.matrix, pure_density(plus).matrix, atol=1e-10)
 
     def test_empty_mixture_is_rejected(self):

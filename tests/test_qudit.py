@@ -88,6 +88,16 @@ class TestChannelAgreement:
             assert np.array_equal(rho.matrix, cloning.run_cloner_full(q).clone_density)
             assert brute_force_oracle(q)[0] == pytest.approx(5.0 / 6.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d", range(1, 25))
+    def test_both_ports_give_one_clone_and_split_the_success(self, d):
+        # the reflection's m -> -m maps the b' block onto the a' block in label order
+        phi = random_qudit(d, np.random.default_rng(70 + d)).amplitudes
+        clone_a, p_a, _ = cloning.label_clone(phi, "a_prime")
+        clone_b, p_b, _ = cloning.label_clone(phi, "b_prime")
+        assert p_a == p_b
+        assert np.max(np.abs(clone_a.matrix - clone_b.matrix)) < 1e-12
+        assert abs(qudit_clone(QuditSpec(phi)).success_probability - (p_a + p_b)) <= 1e-15
+
     def test_oracle_dimension_cap(self):
         with pytest.raises(ConfigurationError):
             brute_force_oracle(QuditSpec(np.ones(9)))
