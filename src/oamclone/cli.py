@@ -205,7 +205,7 @@ def run_hom(config):
 
 def run_clone(config):
     from . import cloning
-    from .qubit import QubitSpec
+    from .qubit import BLOCH_SHRINK, QubitSpec
     cfg = config["clone"]
     q = QubitSpec.named(cfg["input"])
     result = cloning.run_cloner_full(q, cfg["ancilla_samples"], seed=config["seed"])
@@ -220,20 +220,19 @@ def run_clone(config):
               *result.stokes)],
             results,
             ("bloch_projection", [(cfg["input"], q.bloch(), result.stokes)],
-             "Cloned qubit Bloch vector"))
+             "Cloned qubit Bloch vector", BLOCH_SHRINK))
 
 
 def run_qudit(config):
     import numpy as np
-    from . import qudit
+    from .qubit import QuditSpec, qudit_formula
+    from .qudit import qudit_clone
     cfg = config["qudit"]
     rng = np.random.default_rng(config["seed"])
     rows = []
     for d in range(cfg["d_min"], cfg["d_max"] + 1):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        spec = qudit.QuditSpec(v / np.linalg.norm(v))
-        res = qudit.qudit_clone(spec)
-        f_formula, p_formula = qudit.qudit_formula(d)
+        res = qudit_clone(QuditSpec(rng.normal(size=d) + 1j * rng.normal(size=d)))
+        f_formula, p_formula = qudit_formula(d)
         rows.append((d, res.fidelity, f_formula, res.success_probability, p_formula))
     results = {"rows": [[int(r[0])] + [float(x) for x in r[1:]] for r in rows]}
     return (["d", "F_channel", "F_formula", "p_channel", "p_formula"], rows, results,
@@ -272,7 +271,7 @@ def run_experiment(config):
 def run_stokes(config):
     import numpy as np
     from . import cloning, experiment
-    from .qubit import QubitSpec
+    from .qubit import BLOCH_SHRINK, QubitSpec
     cfg = config["stokes"]
     seeds = np.random.SeedSequence(config["seed"]).spawn(
         len(cfg["states"]) * cfg["runs"])
@@ -294,11 +293,11 @@ def run_stokes(config):
         arrows.append((label, q.bloch(), mean_est / cfg["runs"]))
     results = {
         "mean_length": float(np.mean(lengths)),
-        "theory_length": 2.0 / 3.0,
+        "theory_length": BLOCH_SHRINK,
     }
     return (["state", "run", "s1_in", "s2_in", "s3_in",
              "s1_out", "s2_out", "s3_out", "length"], rows, results,
-            ("bloch_projection", arrows, "Shrunk Bloch sphere of the cloned states"))
+            ("bloch_projection", arrows, "Shrunk Bloch sphere of the cloned states", BLOCH_SHRINK))
 
 
 # Each runner returns (CSV header, CSV rows, JSON results, figure), the figure

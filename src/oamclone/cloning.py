@@ -68,31 +68,34 @@ def embed_qubit(qubit: QubitSpec, basis, path: str) -> PhotonState:
     return fock.superposition_state(basis, zip(label_modes(2, path), qubit.amplitudes))
 
 
+def _label_state(amps, d: int, path: str) -> PhotonState:
+    """``amps`` over ``oam_labels(d)`` on ``path``; ConfigurationError unless there are d."""
+    if len(amps) != d:
+        raise ConfigurationError(f"{len(amps)} amplitudes on path {path}, not d = {d}")
+    return fock.superposition_state(label_basis(d), zip(label_modes(d, path), amps))
+
+
 @functools.lru_cache(maxsize=32)
 def label_states(d: int) -> tuple:
     """The ancilla label states |b, m> in label order, which serve every input
     (the clone is linear in the ancilla); read-only, so no caller can change them."""
-    states = tuple(fock.superposition_state(label_basis(d), [(mode, 1.0)])
-                   for mode in label_modes(d, "b"))
+    states = tuple(_label_state(chi, d, "b") for chi in np.eye(d))
     for psi in states:
         psi.amplitudes.flags.writeable = False
     return states
 
 
 def label_clone(amps, port: str, ancillas=None):
-    """Clone ``amps`` over ``oam_labels(len(amps))`` on path a with ``ancillas``, each
-    (amplitudes in label order, weight) on b; None is I/d over the cached
+    """Clone ``amps`` over ``oam_labels(d)``, d = len(amps), on path a with ``ancillas``,
+    each (d amplitudes in label order, weight) on b; None is I/d over the cached
     ``label_states``.  Returns (the clone over the port's modes in label order, checked by
     ``DensityOperator.validate``; its single-port success probability; Re <amps|clone|amps>)."""
     d = len(amps)
-    basis = label_basis(d)
     if ancillas is None:
         ensemble = ((psi_b, 1.0 / d) for psi_b in label_states(d))
     else:
-        ensemble = ((fock.superposition_state(basis, zip(label_modes(d, "b"), chi)), w)
-                    for chi, w in ancillas)
-    rho, success = elements.coalesce(
-        fock.superposition_state(basis, zip(label_modes(d, "a"), amps)), ensemble, port)
+        ensemble = ((_label_state(chi, d, "b"), w) for chi, w in ancillas)
+    rho, success = elements.coalesce(_label_state(amps, d, "a"), ensemble, port)
     clone = rho.validate()
     amps = np.asarray(amps, dtype=complex)
     return clone, success, float(np.real(amps.conj() @ clone.matrix @ amps))

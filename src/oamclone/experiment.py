@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ConfigurationError
-from .qubit import QubitSpec
+from .qubit import QubitSpec, qudit_formula
 from .states import SIX_STATE_AMPLITUDES
 
 TABLE_ONE_STATES = tuple(SIX_STATE_AMPLITUDES)
@@ -84,7 +84,7 @@ class LossBudget:
         return self.p_prep * coupling
 
     def rate(self, coupling: float) -> float:
-        return (self.source_rate_hz * self.p_prep ** 2 * (3.0 / 8.0)  # the ideal cloner's p
+        return (self.source_rate_hz * self.p_prep ** 2 * (qudit_formula(2)[1] / 2)  # one-port p
                 * self.p_det(coupling) ** 2 * 0.5)  # the analysis splitter
 
 

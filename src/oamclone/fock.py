@@ -132,9 +132,6 @@ class PhotonState:
         if self.amplitudes.shape != (self.basis.size,):
             raise BasisMismatchError("amplitude vector does not match basis size")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def superposition_state(basis: ModeBasis, terms) -> PhotonState:
     """Build a normalized single-photon state from (ModeIndex, amplitude) terms."""

@@ -1,6 +1,6 @@
-"""The cloner's input state for every d, and the OAM qubit on {+2, -2} as its d = 2 case:
-amplitudes, Pauli axes and Stokes vectors.  ``stokes_vector`` is the one reader of the
-Pauli axes: ``bloch`` is the Stokes vector of the state's projector.
+"""The cloner's input state for every d, its closed forms, and the OAM qubit on {+2, -2}
+as its d = 2 case: amplitudes, Pauli axes and Stokes vectors.  ``QuditSpec`` is the one
+normalizer of an input, and ``stokes_vector`` the one reader of the Pauli axes.
 
 numpy only, so that code which needs qubit states but no two-photon evolution
 (the ``experiment`` scenario) loads no Fock-space code."""
@@ -13,6 +13,15 @@ import numpy as np
 from . import ConfigurationError, InvalidStateError
 from .states import SIX_STATE_AMPLITUDES
 
+
+def qudit_formula(d: int):
+    """Closed-form optimal cloning fidelity and success probability over both ports."""
+    if d < 1:
+        raise ConfigurationError("dimension must be >= 1")
+    return 0.5 + 1.0 / (d + 1.0), (d + 1.0) / (2.0 * d)
+
+
+BLOCH_SHRINK = 2.0 * qudit_formula(2)[0] - 1.0  # eta: clone = eta * input, F = (1 + eta)/2
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -78,6 +87,4 @@ def stokes_vector(rho: np.ndarray) -> np.ndarray:
 
 
 def haar_random_qubit(rng) -> QubitSpec:
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    return QubitSpec(v[0], v[1])
+    return QubitSpec(*(rng.normal(size=2) + 1j * rng.normal(size=2)))

@@ -7,7 +7,7 @@ state |b, m_k> of the ancilla, weight 1/d.  The clone is linear in the ancilla
 state, so this label basis gives the same clone as any other orthonormal basis
 of I/d (Werner, PRA 58, 1827 (1998)), the label states are built once per d
 (``cloning.label_states``), and each branch occupies only d + 1 modes before
-the splitter.  Closed forms: F = 1/2 + 1/(d+1), both-port p = (d+1)/(2d).
+the splitter.  Closed forms (``qubit.qudit_formula``): F = 1/2 + 1/(d+1), p = (d+1)/(2d).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import ConfigurationError
 from .cloning import label_clone, symmetric_subspace_clone
 from .fock import DensityOperator
-from .qubit import QuditSpec
+from .qubit import QuditSpec, qudit_formula  # noqa: F401 - tests and the benchmark read it here
 
 # brute_force_oracle's cap, read by the benchmark checks; its pair operator is
 # d^2 x d^2, so checks at larger d call cloning.symmetric_subspace_clone directly
@@ -31,13 +31,6 @@ class QuditCloneResult:
     fidelity: float
     success_probability: float
     clone_density: DensityOperator  # over the a' modes, in label order
-
-
-def qudit_formula(d: int):
-    """Closed-form optimal cloning fidelity and success probability over both ports."""
-    if d < 1:
-        raise ConfigurationError("dimension must be >= 1")
-    return 0.5 + 1.0 / (d + 1.0), (d + 1.0) / (2.0 * d)
 
 
 def qudit_clone(spec: QuditSpec) -> QuditCloneResult:

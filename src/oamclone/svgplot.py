@@ -51,11 +51,11 @@ def line_plot(x, y, title, xlabel, ylabel) -> str:
     return "\n".join(parts) + "\n"
 
 
-def bloch_projection(vectors, title) -> str:
+def bloch_projection(vectors, title, shrink) -> str:
     """Equatorial projection of the Bloch sphere with input/output arrows.
 
-    ``vectors`` is a list of (label, input_xyz, output_xyz); the (S1, S3)
-    plane is drawn, inputs dashed, outputs solid.
+    ``vectors`` is a list of (label, input_xyz, output_xyz); the (S1, S3) plane
+    is drawn, inputs dashed, outputs solid, and the clones' radius ``shrink`` dashed.
     """
     cx, cy, r = _W / 2, _H / 2 + 10, 170
     parts = [
@@ -64,7 +64,7 @@ def bloch_projection(vectors, title) -> str:
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2}" y="22" text-anchor="middle" font-size="15">{title}</text>',
         f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="none" stroke="black"/>',
-        f'<circle cx="{cx}" cy="{cy}" r="{_fmt(r * 2 / 3)}" fill="none" '
+        f'<circle cx="{cx}" cy="{cy}" r="{_fmt(r * shrink)}" fill="none" '
         'stroke="#888" stroke-dasharray="3 3"/>',
         f'<line x1="{cx - r}" y1="{cy}" x2="{cx + r}" y2="{cy}" stroke="#ccc"/>',
         f'<line x1="{cx}" y1="{cy - r}" x2="{cx}" y2="{cy + r}" stroke="#ccc"/>',

@@ -454,6 +454,14 @@ class TestExitCodes:
         assert (args.config, args.seed, args.out_dir, args.format, args.svg) \
             == (Path("c.yaml"), 1, Path("o"), "csv", True)
 
+    def test_a_run_that_fails_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # the output directory cannot be made over a file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["clone", "--out-dir", str(blocker / "out")]) == 1
+        assert "runtime error" in capsys.readouterr().err
+        assert blocker.read_text() == ""
+
     @pytest.mark.parametrize("seed, code", [(-1, 3), (2 ** 64, 3), (2 ** 64 - 1, 0)])
     def test_seed_option_is_bounded_by_the_seed_key(self, seed, code, tmp_path):
         out = tmp_path / "out"

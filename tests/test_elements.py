@@ -167,6 +167,14 @@ class TestCoalesce:
         with pytest.raises(ConfigurationError, match="ancilla weight"):
             cloning.label_clone((1 / math.sqrt(2), 1 / math.sqrt(2)), "a_prime", ancillas)
 
+    @pytest.mark.parametrize("chi", [(1, 0, 5), (1,)], ids=["long", "short"])
+    def test_an_ancilla_of_the_wrong_length_is_rejected(self, chi):
+        # zip over the labels once dropped the extra amplitude and accepted the short
+        # vector: both cloned (1, 0) with p = 1/4 and F = 1/2, as the ancilla (1, 0) does
+        with pytest.raises(ConfigurationError,
+                           match=f"{len(chi)} amplitudes on path b, not d = 2"):
+            cloning.label_clone((1, 0), "a_prime", [(chi, 1.0)])
+
     def test_sampled_weights_sum_to_one_exactly(self):
         # the CLI's largest sample count: a running sum of its 1/n weights misses
         # 1 by more than NORM_ATOL, so the check must sum them exactly

@@ -6,6 +6,7 @@ import pytest
 from oamclone import ConfigurationError
 from oamclone.cloning import QubitSpec
 from oamclone.experiment import (
+    POISSON_MEAN_MAX,
     TABLE_ONE_STATES,
     ImperfectionModel,
     LossBudget,
@@ -151,6 +152,20 @@ class TestSimulateCounts:
     def test_poisson_mean_above_numpys_limit_rejected(self):
         with pytest.raises(ConfigurationError, match="Poisson mean"):
             simulate_counts(QubitSpec.named("h"), ImperfectionModel(), LossBudget(), 1e300, 0)
+
+    def test_the_poisson_guard_sits_at_numpys_limit(self):
+        # the clone count's mean is duration * rate * F: numpy draws it just below the
+        # limit, and just above it the guard refuses it before numpy's ValueError
+        model, budget = ImperfectionModel(), LossBudget()
+        per_second = budget.rate(budget.default_coupling) * predicted_fidelity(model)
+
+        def counts(factor):
+            return simulate_counts(QubitSpec.named("h"), model, budget,
+                                   factor * POISSON_MEAN_MAX / per_second, 0)
+
+        assert counts(0.9999).c1 > 0
+        with pytest.raises(ConfigurationError, match="Poisson mean"):
+            counts(1.0001)
 
 
 class TestTableOneRun:

@@ -252,6 +252,14 @@ def test_finite_amplitudes_whose_norm_overflows_are_normalized():
     assert np.max(np.abs(big - QuditSpec(np.full(24, -1 + 1j)).amplitudes)) <= 1e-15
 
 
+def test_a_norm_just_off_one_is_rescaled():
+    # QuditSpec is the one normalizer of an input, the Haar draws' included
+    assert abs(np.linalg.norm(QuditSpec([1 + 1e-6, 0]).amplitudes) - 1.0) <= 1e-15
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        assert abs(np.linalg.norm(qubit.haar_random_qubit(rng).amplitudes) - 1.0) <= 1e-15
+
+
 def test_every_scale_of_a_vector_gives_one_spec():
     # one spec for every d, the qubit's included; math.hypot's norm neither
     # overflows at 1e300 nor underflows at 1e-300
