@@ -34,7 +34,7 @@ STATE_NAMES = tuple(SIX_STATE_AMPLITUDES)
 MAX_D = 24  # qudit d = 1..24: 0.15-0.21 s cold, numpy's import included; 0.03-0.05 s warm; grows as d^2
 MAX_DELAY_STEPS = 100_000  # about 3 us per delay: 0.27-0.35 s and a 3.4 MB CSV
 MAX_STOKES_STATES = 60  # ten passes over the six states
-MAX_STOKES_RUNS = 1_000  # 0.07 ms per run and state: 4.2 s and a 4.9 MB CSV for 60 states
+MAX_STOKES_RUNS = 1_000  # 0.03 ms per run and state: 1.7-1.9 s and a 4.5 MB CSV for 60 states
 MAX_COUNTS_PER_BASIS = 10 ** 9  # a Poisson draw costs the same at any mean
 MAX_ANCILLA_SAMPLES = 100_000  # 0.06 ms per sampled ancilla: 6.2 s
 # duration_s * source_rate_hz; a Poisson draw costs the same at any mean, but
@@ -273,24 +273,21 @@ def run_stokes(config):
     from . import cloning, experiment
     from .qubit import BLOCH_SHRINK, QubitSpec
     cfg = config["stokes"]
-    seeds = np.random.SeedSequence(config["seed"]).spawn(
-        len(cfg["states"]) * cfg["runs"])
+    runs = cfg["runs"]
+    seeds = np.random.SeedSequence(config["seed"]).spawn(len(cfg["states"]) * runs)
     rows = []
     arrows = []
     lengths = []
-    k = 0
-    for label in cfg["states"]:
+    for i, label in enumerate(cfg["states"]):
         q = QubitSpec.named(label)
-        ideal = cloning.run_cloner_full(q).stokes
-        mean_est = np.zeros(3)
-        for run_idx in range(cfg["runs"]):
-            res = experiment.simulate_stokes(q, cfg["counts_per_basis"], seeds[k],
-                                             ideal=ideal)
-            k += 1
-            rows.append((label, run_idx, *res.input_bloch, *res.estimated, res.length))
-            lengths.append(res.length)
-            mean_est += res.estimated
-        arrows.append((label, q.bloch(), mean_est / cfg["runs"]))
+        bloch, est, state_lengths = experiment.simulate_stokes_runs(
+            q, cfg["counts_per_basis"], seeds[i * runs:(i + 1) * runs],
+            ideal=cloning.run_cloner_full(q).stokes)
+        bloch_in = bloch.tolist()
+        rows += [(label, run_idx, *bloch_in, *e, length)
+                 for run_idx, (e, length) in enumerate(zip(est.tolist(), state_lengths))]
+        lengths += state_lengths
+        arrows.append((label, bloch, est.cumsum(axis=0)[-1] / runs))  # summed in run order
     results = {
         "mean_length": float(np.mean(lengths)),
         "theory_length": BLOCH_SHRINK,

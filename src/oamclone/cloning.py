@@ -89,16 +89,17 @@ def label_clone(amps, port: str, ancillas=None):
     """Clone ``amps`` over ``oam_labels(d)``, d = len(amps), on path a with ``ancillas``,
     each (d amplitudes in label order, weight) on b; None is I/d over the cached
     ``label_states``.  Returns (the clone over the port's modes in label order, checked by
-    ``DensityOperator.validate``; its single-port success probability; Re <amps|clone|amps>)."""
+    ``DensityOperator.validate``; its single-port success probability; Re <phi|clone|phi>)."""
     d = len(amps)
     if ancillas is None:
         ensemble = ((psi_b, 1.0 / d) for psi_b in label_states(d))
     else:
         ensemble = ((_label_state(chi, d, "b"), w) for chi, w in ancillas)
-    rho, success = elements.coalesce(_label_state(amps, d, "a"), ensemble, port)
+    psi_a = _label_state(amps, d, "a")
+    rho, success = elements.coalesce(psi_a, ensemble, port)
     clone = rho.validate()
-    amps = np.asarray(amps, dtype=complex)
-    return clone, success, float(np.real(amps.conj() @ clone.matrix @ amps))
+    phi = psi_a.amplitudes[:d]  # amps normalized: path a's modes come first, in label order
+    return clone, success, float(np.real(phi.conj() @ clone.matrix @ phi))
 
 
 def _ancilla_states(n_samples, seed):

@@ -118,12 +118,14 @@ def fidelity_from_counts(c1: int, c2: int):
     return f, sigma
 
 
-def _poisson_pair(rng, mean: float, p: float):
-    """Poisson draws with means mean * p, then mean * (1 - p); refused above numpy's limit."""
-    means = [mean * p, mean * (1.0 - p)]
-    if max(means) > POISSON_MEAN_MAX:
-        raise ConfigurationError(f"Poisson mean {max(means):.3g} above numpy's limit")
-    return rng.poisson(means)
+def _poisson_pair(mean: float, p, seeds) -> np.ndarray:
+    """Per seed, one Poisson draw of the means mean * p, then mean * (1 - p), for each p in
+    order, shape (len(seeds), *np.shape(p), 2); means above numpy's limit are refused."""
+    means = np.stack([mean * p, mean * (1.0 - p)], axis=-1)
+    if means.max() > POISSON_MEAN_MAX:
+        raise ConfigurationError(f"Poisson mean {means.max():.3g} above numpy's limit")
+    return np.array([np.random.default_rng(seed).poisson(means) for seed in seeds]).reshape(
+        -1, *means.shape)
 
 
 def simulate_counts(input_qubit: QubitSpec, model: ImperfectionModel,
@@ -138,9 +140,8 @@ def simulate_counts(input_qubit: QubitSpec, model: ImperfectionModel,
     """
     if not (math.isfinite(duration_s) and duration_s >= 0):
         raise ConfigurationError("duration must be finite and nonnegative")
-    rng = np.random.default_rng(seed)
     rate = budget.rate(budget.default_coupling)
-    c1, c2 = map(int, _poisson_pair(rng, duration_s * rate, predicted_fidelity(model)))
+    c1, c2 = _poisson_pair(duration_s * rate, predicted_fidelity(model), [seed])[0].tolist()
     if c1 + c2 == 0:
         return CountRecord(0, 0, None, None)
     f_exp, sigma = fidelity_from_counts(c1, c2)
@@ -176,22 +177,21 @@ class StokesRun:
     length: float
 
 
-def simulate_stokes(input_qubit: QubitSpec, counts_per_basis: int, seed, *,
-                    ideal=None) -> StokesRun:
-    """Stokes-vector estimate of the ideal clone from finite count statistics.
+def simulate_stokes_runs(input_qubit: QubitSpec, counts_per_basis: int, seeds, *, ideal=None):
+    """Stokes-vector estimates of the ideal clone from finite count statistics, one per seed.
 
     For each of the three Pauli axes the two projective outcomes receive
     independent Poisson counts around their ideal-clone probabilities and
-    the component is estimated as the normalized count difference.
-    ``ideal`` is the ideal clone's Stokes vector: three finite components
+    the component is estimated as the normalized count difference (0.0 without
+    counts).  ``ideal`` is the ideal clone's Stokes vector: three finite components
     with norm at most 1 (+1e-12 for rounding); left out, it is computed with
-    ``cloning.run_cloner_full(input_qubit)``.
+    ``cloning.run_cloner_full(input_qubit)``.  Checked once for all seeds; returns
+    (the input's Bloch vector, the estimates as a (len(seeds), 3) array, their lengths).
     """
     if (isinstance(counts_per_basis, (bool, np.bool_))
             or not 1 <= counts_per_basis <= POISSON_MEAN_MAX
             or counts_per_basis != int(counts_per_basis)):
         raise ConfigurationError("counts_per_basis must be a finite integer, 1 to POISSON_MEAN_MAX")
-    rng = np.random.default_rng(seed)
     if ideal is None:
         from . import cloning
         ideal = cloning.run_cloner_full(input_qubit).stokes
@@ -199,10 +199,15 @@ def simulate_stokes(input_qubit: QubitSpec, counts_per_basis: int, seed, *,
     if ideal.shape != (3,) or not np.all(np.isfinite(ideal)) \
             or np.linalg.norm(ideal) > 1.0 + 1e-12:
         raise ConfigurationError("ideal must be 3 finite Stokes components of norm at most 1")
-    est = np.zeros(3)
-    for i, s in enumerate(ideal):
-        p_plus = min(max((1.0 + s) / 2.0, 0.0), 1.0)  # |s| may pass 1 by the rounding
-        c_plus, c_minus = _poisson_pair(rng, counts_per_basis, p_plus)
-        total = c_plus + c_minus
-        est[i] = 0.0 if total == 0 else (c_plus - c_minus) / total
-    return StokesRun(input_qubit.bloch(), est, float(np.linalg.norm(est)))
+    p_plus = np.clip((1.0 + ideal) / 2.0, 0.0, 1.0)  # |s| may pass 1 by the rounding
+    counts = _poisson_pair(counts_per_basis, p_plus, seeds)  # +x, -x, +y, -y, +z, -z
+    c_plus, c_minus = counts[..., 0], counts[..., 1]
+    est = (c_plus - c_minus) / np.maximum(c_plus + c_minus, 1)  # 0.0 where a basis has no counts
+    return input_qubit.bloch(), est, [float(np.linalg.norm(e)) for e in est]
+
+
+def simulate_stokes(input_qubit: QubitSpec, counts_per_basis: int, seed, *,
+                    ideal=None) -> StokesRun:
+    """``simulate_stokes_runs`` for one seed."""
+    bloch, est, lengths = simulate_stokes_runs(input_qubit, counts_per_basis, [seed], ideal=ideal)
+    return StokesRun(bloch, est[0], lengths[0])

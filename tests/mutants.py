@@ -73,9 +73,13 @@ MUTANTS = [
            "rows = slice(r[0], r[-1])", "apply writes every row the splitter reaches",
            ("tests/test_elements.py::TestApply"
             "::test_at_the_gather_size_any_element_writes_only_the_rows_it_reaches",)),
-    Mutant("src/oamclone/cloning.py", "amps.conj() @ clone.matrix @ amps",
-           "amps @ clone.matrix @ amps.conj()", "the fidelity is <phi|clone|phi>",
+    Mutant("src/oamclone/cloning.py", "phi.conj() @ clone.matrix @ phi",
+           "phi @ clone.matrix @ phi.conj()", "the fidelity is <phi|clone|phi>",
            ("tests/test_cloning.py::TestOptimalCloning::test_fidelity_five_sixths_full_route",)),
+    Mutant("src/oamclone/cloning.py", "phi = psi_a.amplitudes[:d]",
+           "phi = np.asarray(amps, dtype=complex)", "the fidelity scores the normalized input",
+           ("tests/test_qudit.py::TestChannelAgreement"
+            "::test_an_input_off_unit_norm_is_scored_normalized",)),
     Mutant("src/oamclone/cloning.py", "if len(amps) != d:", "if False:",
            "an ancilla has one amplitude per label",
            ("tests/test_elements.py::TestCoalesce"
@@ -92,11 +96,20 @@ MUTANTS = [
     Mutant("src/oamclone/qubit.py", "if abs(nrm - 1.0) > 1e-12 else a",
            "if abs(nrm - 1.0) > 1e-3 else a", "QuditSpec rescales any norm off 1",
            ("tests/test_qudit.py::test_a_norm_just_off_one_is_rescaled",)),
-    Mutant("src/oamclone/experiment.py", "if max(means) > POISSON_MEAN_MAX:",
-           "if max(means) > 2 * POISSON_MEAN_MAX:",
+    Mutant("src/oamclone/experiment.py", "if means.max() > POISSON_MEAN_MAX:",
+           "if means.max() > 2 * POISSON_MEAN_MAX:",
            "a Poisson mean above numpy's limit is refused as a configuration error",
            ("tests/test_experiment.py::TestSimulateCounts"
             "::test_the_poisson_guard_sits_at_numpys_limit",)),
+    # the Stokes counts: draw order and the basis without counts
+    Mutant("src/oamclone/experiment.py", "np.stack([mean * p, mean * (1.0 - p)], axis=-1)",
+           "np.stack([mean * (1.0 - p), mean * p], axis=-1)",
+           "each basis draws its + count, then its - count",
+           ("tests/test_cli.py::test_stokes_rows_match_the_per_run_reference",)),
+    Mutant("src/oamclone/experiment.py", "np.maximum(c_plus + c_minus, 1)", "(c_plus + c_minus)",
+           "a Stokes component without counts reads 0.0, with no warning",
+           ("tests/test_experiment.py::TestSimulateStokes"
+            "::test_a_basis_without_counts_reads_zero_without_warning",)),
     # config bounds and exit codes
     Mutant("src/oamclone/cli.py", '"seed": Key(0, (int,), 0, 2 ** 64 - 1),',
            '"seed": Key(0, (int,), 0, 2 ** 64),', "a seed fits numpy's 64 bits",

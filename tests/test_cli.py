@@ -5,16 +5,18 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 import oamclone
-from oamclone import ConfigurationError, cli, cloning, experiment
+from oamclone import ConfigurationError, cli, cloning
 from oamclone.cli import main, validate_config
-from oamclone.cloning import QubitSpec
 from fresh_process import child_env
+import stokes_reference
+
+GOLDEN_CONFIG = Path(__file__).parent / "golden" / "full.yaml"
+
 
 def _reject_constant(token):
     raise ValueError(f"non-finite JSON number {token}")
@@ -370,24 +372,20 @@ def test_stokes_clones_each_input_once(tmp_path, monkeypatch):
         return clone(*args, **kwargs)
 
     monkeypatch.setattr(cloning, "run_cloner_full", counting_clone)
+    assert main(["stokes", "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == len(cli.DEFAULTS["stokes"]["states"]) == 6
+
+
+@pytest.mark.parametrize("args", [[], ["--config", str(GOLDEN_CONFIG)], ["--seed", "1"],
+                                  ["--seed", "2026"]], ids=["default", "full", "seed1", "seed2026"])
+def test_stokes_rows_match_the_per_run_reference(args, tmp_path):
     out = tmp_path / "out"
-    assert main(["stokes", "--out-dir", str(out)]) == 0
-    cfg = cli.DEFAULTS["stokes"]
-    assert len(calls) == len(cfg["states"]) == 6
-    seeds = np.random.SeedSequence(cli.DEFAULTS["seed"]).spawn(
-        len(cfg["states"]) * cfg["runs"])
-    rows = []
-    for i, label in enumerate(cfg["states"]):
-        for run_idx in range(cfg["runs"]):
-            res = experiment.simulate_stokes(QubitSpec.named(label),
-                                             cfg["counts_per_basis"],
-                                             seeds[i * cfg["runs"] + run_idx])
-            rows.append((label, run_idx, *res.input_bloch, *res.estimated, res.length))
-    assert len(calls) == 6 + len(rows)  # the 3-argument form clones on every call
+    assert main(["stokes", *args, "--out-dir", str(out)]) == 0
+    config = json.loads((out / "stokes.json").read_text())["config"]
     # the CLI writes each number with 12 significant digits
     lines = (out / "stokes.csv").read_text().splitlines()[1:]
     assert lines == [",".join(c if isinstance(c, str) else f"{float(c):.12g}" for c in row)
-                     for row in rows]
+                     for row in stokes_reference.stokes_rows(config)]
 
 
 class TestExitCodes:

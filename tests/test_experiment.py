@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from oamclone.experiment import (
     rate_budget,
     simulate_counts,
     simulate_stokes,
+    simulate_stokes_runs,
     table_one_run,
 )
+from stokes_reference import stokes_run
 
 
 class TestPredictedFidelity:
@@ -167,6 +170,19 @@ class TestSimulateCounts:
         with pytest.raises(ConfigurationError, match="Poisson mean"):
             counts(1.0001)
 
+    def test_one_six_mean_draw_equals_three_pair_draws(self):
+        # numpy's Generator.poisson draws an array of means in order, one stream, below
+        # and above its lam = 10 algorithm switch; p = 1 gives a zero mean
+        rng = np.random.default_rng(2026)
+        for counts in (1, 7, 25, 400, 10 ** 9):
+            for seed in range(200):
+                p = np.array([rng.uniform(), 1.0, rng.uniform()])
+                gen = np.random.default_rng(seed)
+                pairs = [gen.poisson([counts * x, counts * (1.0 - x)]).tolist() for x in p]
+                six = np.random.default_rng(seed).poisson(
+                    [m for x in p for m in (counts * x, counts * (1.0 - x))])
+                assert six.reshape(3, 2).tolist() == pairs
+
 
 class TestTableOneRun:
     def test_covers_the_six_states_and_tracks_the_prediction(self):
@@ -223,3 +239,26 @@ class TestSimulateStokes:
     def test_ideal_on_the_sphere_up_to_rounding_is_accepted(self):
         run = simulate_stokes(QubitSpec.named("h"), 100, 0, ideal=[0.0, -1.0 - 1e-13, 0.0])
         assert run.estimated[1] == -1.0
+
+    def test_runs_match_the_per_run_reference(self):
+        seeds = np.random.SeedSequence(4).spawn(50)
+        ideal = (2.0 / 3.0) * QubitSpec.named("d").bloch()
+        bloch, est, lengths = simulate_stokes_runs(QubitSpec.named("d"), 400, seeds,
+                                                   ideal=ideal)
+        reference = [stokes_run(ideal, 400, seed) for seed in seeds]
+        assert bloch.tolist() == QubitSpec.named("d").bloch().tolist()
+        assert est.tolist() == [e.tolist() for e, _ in reference]
+        assert lengths == [length for _, length in reference]
+
+    def test_a_basis_without_counts_reads_zero_without_warning(self):
+        # one count per basis on the sphere: the -x mean is 0, and many runs get no count
+        ideal = [1.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, est, lengths = simulate_stokes_runs(QubitSpec.named("h"), 1, range(200),
+                                                   ideal=ideal)
+        reference = [stokes_run(ideal, 1, seed) for seed in range(200)]
+        assert est.tolist() == [e.tolist() for e, _ in reference]
+        assert lengths == [length for _, length in reference]
+        assert np.count_nonzero(est == 0.0) > 100
+        assert 0.0 in lengths

@@ -98,6 +98,15 @@ class TestChannelAgreement:
         assert np.max(np.abs(clone_a.matrix - clone_b.matrix)) < 1e-12
         assert abs(qudit_clone(QuditSpec(phi)).success_probability - (p_a + p_b)) <= 1e-15
 
+    def test_an_input_off_unit_norm_is_scored_normalized(self):
+        assert cloning.label_clone((1, 1), "a_prime")[2] == pytest.approx(5.0 / 6.0, abs=1e-15)
+        assert cloning.label_clone((3, 0, 0), "a_prime")[2] == pytest.approx(0.75, abs=1e-15)
+        rng = np.random.default_rng(72)
+        for d in range(1, 9):
+            phi = random_qudit(d, rng).amplitudes
+            unit = cloning.label_clone(phi, "a_prime")[2]
+            assert cloning.label_clone(7.5 * phi, "a_prime")[2] == pytest.approx(unit, abs=1e-14)
+
     def test_oracle_dimension_cap(self):
         with pytest.raises(ConfigurationError):
             brute_force_oracle(QuditSpec(np.ones(9)))
