@@ -270,7 +270,7 @@ def run_experiment(config):
 
 def run_stokes(config):
     import numpy as np
-    from . import cloning, experiment
+    from . import experiment
     from .qubit import BLOCH_SHRINK, QubitSpec
     cfg = config["stokes"]
     runs = cfg["runs"]
@@ -281,8 +281,7 @@ def run_stokes(config):
     for i, label in enumerate(cfg["states"]):
         q = QubitSpec.named(label)
         bloch, est, state_lengths = experiment.simulate_stokes_runs(
-            q, cfg["counts_per_basis"], seeds[i * runs:(i + 1) * runs],
-            ideal=cloning.run_cloner_full(q).stokes)
+            q, cfg["counts_per_basis"], seeds[i * runs:(i + 1) * runs])
         bloch_in = bloch.tolist()
         rows += [(label, run_idx, *bloch_in, *e, length)
                  for run_idx, (e, length) in enumerate(zip(est.tolist(), state_lengths))]

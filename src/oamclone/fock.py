@@ -7,9 +7,9 @@ matrix S over the n modes, |psi> = sum_ij S_ij adag_i adag_j |0>, normalized
 so that 2 ||S||_F^2 = 1.  An optical element M acts as S -> M S M^T, a port
 post-selection returns the block of S on the port's modes as a state over
 the port's sub-basis, and the reduced single-photon state is 2 S S^dag.
-One rule each: ``superposition_state`` normalizes a photon (``pure_density`` calls
-it), and ``checked_weight`` and ``check_total`` hold the weights of ``mix`` and
-``elements.coalesce`` to a distribution.
+One rule each: the one amplitude rule, ``qubit.normalized_amplitudes``, normalizes
+every photon, and ``checked_weight`` and ``check_total`` hold the weights of ``mix``
+and ``elements.coalesce`` to a distribution.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import BasisMismatchError, ConfigurationError, InvalidStateError
+from .qubit import normalized_amplitudes
 
 PATHS = ("a", "b", "a_prime", "b_prime")
 POLS = ("L", "R")
@@ -134,17 +135,11 @@ class PhotonState:
 
 
 def superposition_state(basis: ModeBasis, terms) -> PhotonState:
-    """Build a normalized single-photon state from (ModeIndex, amplitude) terms."""
+    """The photon of (ModeIndex, amplitude) terms, by the one amplitude rule."""
     vec = np.zeros(basis.size, dtype=complex)
     for mode, amp in terms:
         vec[basis.index(mode)] += complex(amp)
-    with np.errstate(over="ignore"):  # an overflowing norm is refused below, not warned of
-        norm = np.linalg.norm(vec)
-    if not math.isfinite(norm):
-        raise InvalidStateError(f"amplitude norm {norm} is not finite")
-    if norm < 1e-15:
-        raise InvalidStateError("all-zero amplitudes")
-    return PhotonState(basis, vec * (1.0 / norm))  # a complex divisor costs 6x
+    return PhotonState(basis, normalized_amplitudes(vec))
 
 
 @dataclass
@@ -247,10 +242,10 @@ class DensityOperator:
 
 
 def pure_density(state: PhotonState) -> DensityOperator:
-    """Rank-1 projector onto a pure single-photon state."""
+    """Rank-1 projector onto a single-photon state, by the one amplitude rule."""
     if not isinstance(state, PhotonState):
         raise TypeError(f"unsupported state type {type(state)}")
-    v = superposition_state(state.basis, zip(state.basis.modes, state.amplitudes)).amplitudes
+    v = normalized_amplitudes(state.amplitudes)
     return DensityOperator(state.basis, np.outer(v, v.conj()))
 
 

@@ -1,12 +1,12 @@
 """The cloner's input state for every d, its closed forms, and the OAM qubit on {+2, -2}
-as its d = 2 case: amplitudes, Pauli axes and Stokes vectors.  ``QuditSpec`` is the one
-normalizer of an input, and ``stokes_vector`` the one reader of the Pauli axes.
+as its d = 2 case: amplitudes, Pauli axes and Stokes vectors.  ``normalized_amplitudes``
+is the one amplitude rule, of an input and of a photon, and ``stokes_vector`` the one
+reader of the Pauli axes.
 
 numpy only, so that code which needs qubit states but no two-photon evolution
 (the ``experiment`` scenario) loads no Fock-space code."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,28 +29,30 @@ PAULI = {
 }
 
 
-@dataclass(init=False, eq=False)
-class QuditSpec:
-    """Normalized amplitude vector of the d-level input state, in label order; the
-    package's one amplitude check.  Not a nonempty 1-D vector: ConfigurationError; not
-    finite, or all zero: InvalidStateError.  Normalized by ``math.hypot``, which does not
-    underflow, only when that norm is more than 1e-12 from 1; finite entries whose norm
-    exceeds the largest double are first divided by the largest |real or imag part|."""
+def normalized_amplitudes(amplitudes) -> np.ndarray:
+    """The package's one amplitude rule: a fresh unit vector.  Not a nonempty 1-D vector:
+    ConfigurationError; not finite, or all zero: InvalidStateError.  Normalized by
+    ``math.hypot``, which does not underflow, only when that norm is more than 1e-12
+    from 1; finite entries whose norm exceeds the largest double are first divided by
+    the largest |real or imag part|."""
+    a = np.array(amplitudes, dtype=complex)
+    if a.ndim != 1 or a.size < 1:
+        raise ConfigurationError("amplitudes must be a nonempty vector")
+    parts = (*a.real.tolist(), *a.imag.tolist())
+    nrm = math.hypot(*parts)  # nan or inf if any part is
+    if nrm == math.inf and all(map(math.isfinite, parts)):  # the norm alone overflows
+        a = a / max(map(abs, parts))
+        nrm = math.hypot(*a.real.tolist(), *a.imag.tolist())
+    if not 0.0 < nrm < math.inf:
+        raise InvalidStateError("amplitudes must be finite and not all zero")
+    return a / nrm if abs(nrm - 1.0) > 1e-12 else a
 
-    amplitudes: np.ndarray
+
+class QuditSpec:
+    """The d-level input state: its ``amplitudes`` in label order, by the one amplitude rule."""
 
     def __init__(self, amplitudes):
-        a = np.array(amplitudes, dtype=complex)
-        if a.ndim != 1 or a.size < 1:
-            raise ConfigurationError("amplitudes must be a nonempty vector")
-        parts = (*a.real.tolist(), *a.imag.tolist())
-        nrm = math.hypot(*parts)  # nan or inf if any part is
-        if nrm == math.inf and all(map(math.isfinite, parts)):  # the norm alone overflows
-            a = a / max(map(abs, parts))
-            nrm = math.hypot(*a.real.tolist(), *a.imag.tolist())
-        if not 0.0 < nrm < math.inf:
-            raise InvalidStateError("amplitudes must be finite and not all zero")
-        self.amplitudes = a / nrm if abs(nrm - 1.0) > 1e-12 else a
+        self.amplitudes = normalized_amplitudes(amplitudes)
 
     @property
     def d(self) -> int:

@@ -25,17 +25,24 @@ def _scale(values, lo_px, hi_px):
     return to_px, lo, hi
 
 
-def line_plot(x, y, title, xlabel, ylabel) -> str:
-    """Single polyline with axes and min/max tick labels."""
-    sx, x_lo, x_hi = _scale(list(x), _ML, _W - _MR)
-    y_vals = list(y) + [0.0]
-    sy, y_lo, y_hi = _scale(y_vals, _H - _MB, _MT)
-    pts = " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(x, y))
-    parts = [
+def _frame(title, title_y, body) -> str:
+    """The figure: a white page, ``title`` centred at height ``title_y``, then ``body``."""
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="20" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{_W / 2}" y="{title_y}" text-anchor="middle" font-size="15">{title}</text>',
+        *body,
+        "</svg>",
+    ]) + "\n"
+
+
+def line_plot(x, y, title, xlabel, ylabel) -> str:
+    """Single polyline with axes and min/max tick labels."""
+    sx, x_lo, x_hi = _scale(list(x), _ML, _W - _MR)
+    sy, y_lo, y_hi = _scale([*y, 0.0], _H - _MB, _MT)
+    pts = " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(x, y))
+    return _frame(title, 20, [
         f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" stroke="black"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" stroke="black"/>',
         f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="2"/>',
@@ -46,9 +53,7 @@ def line_plot(x, y, title, xlabel, ylabel) -> str:
         f'<text x="{_W - _MR}" y="{_H - _MB + 16}" font-size="11" text-anchor="middle">{x_hi:g}</text>',
         f'<text x="{_ML - 6}" y="{_H - _MB}" font-size="11" text-anchor="end">{y_lo:g}</text>',
         f'<text x="{_ML - 6}" y="{_MT + 4}" font-size="11" text-anchor="end">{y_hi:g}</text>',
-        "</svg>",
-    ]
-    return "\n".join(parts) + "\n"
+    ])
 
 
 def bloch_projection(vectors, title, shrink) -> str:
@@ -59,10 +64,6 @@ def bloch_projection(vectors, title, shrink) -> str:
     """
     cx, cy, r = _W / 2, _H / 2 + 10, 170
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="22" text-anchor="middle" font-size="15">{title}</text>',
         f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="none" stroke="black"/>',
         f'<circle cx="{cx}" cy="{cy}" r="{_fmt(r * shrink)}" fill="none" '
         'stroke="#888" stroke-dasharray="3 3"/>',
@@ -72,13 +73,10 @@ def bloch_projection(vectors, title, shrink) -> str:
     for label, vin, vout in vectors:
         for vec, style in ((vin, 'stroke="#777" stroke-dasharray="5 4"'),
                            (vout, 'stroke="#b22222" stroke-width="2"')):
-            x = cx + vec[0] * r
-            y = cy - vec[2] * r
-            parts.append(f'<line x1="{cx}" y1="{cy}" x2="{_fmt(x)}" y2="{_fmt(y)}" {style}/>')
-        x = cx + vin[0] * r
-        y = cy - vin[2] * r
-        parts.append(f'<text x="{_fmt(x + 6)}" y="{_fmt(y)}" font-size="11">{label}</text>')
-    parts.append(f'<text x="{cx + r + 4}" y="{cy + 4}" font-size="12">S1</text>')
-    parts.append(f'<text x="{cx - 8}" y="{cy - r - 6}" font-size="12">S3</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            parts.append(f'<line x1="{cx}" y1="{cy}" x2="{_fmt(cx + vec[0] * r)}" '
+                         f'y2="{_fmt(cy - vec[2] * r)}" {style}/>')
+        parts.append(f'<text x="{_fmt(cx + vin[0] * r + 6)}" y="{_fmt(cy - vin[2] * r)}" '
+                     f'font-size="11">{label}</text>')
+    parts += [f'<text x="{cx + r + 4}" y="{cy + 4}" font-size="12">S1</text>',
+              f'<text x="{cx - 8}" y="{cy - r - 6}" font-size="12">S3</text>']
+    return _frame(title, 22, parts)

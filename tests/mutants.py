@@ -94,8 +94,14 @@ MUTANTS = [
            ("tests/test_cli.py::TestScenarios::test_stokes_summary",
             "tests/test_golden.py::test_outputs_match_the_golden_files[default-clone]")),
     Mutant("src/oamclone/qubit.py", "if abs(nrm - 1.0) > 1e-12 else a",
-           "if abs(nrm - 1.0) > 1e-3 else a", "QuditSpec rescales any norm off 1",
+           "if abs(nrm - 1.0) > 1e-3 else a", "the amplitude rule rescales any norm off 1",
            ("tests/test_qudit.py::test_a_norm_just_off_one_is_rescaled",)),
+    Mutant("src/oamclone/fock.py", "PhotonState(basis, normalized_amplitudes(vec))",
+           "PhotonState(basis, vec)", "a photon is normalized by the one amplitude rule",
+           ("tests/test_fock.py::test_every_state_vector_follows_one_amplitude_rule",)),
+    Mutant("src/oamclone/fock.py", "v = normalized_amplitudes(state.amplitudes)",
+           "v = state.amplitudes", "a projector is normalized by the one amplitude rule",
+           ("tests/test_fock.py::test_every_state_vector_follows_one_amplitude_rule",)),
     Mutant("src/oamclone/experiment.py", "if means.max() > POISSON_MEAN_MAX:",
            "if means.max() > 2 * POISSON_MEAN_MAX:",
            "a Poisson mean above numpy's limit is refused as a configuration error",

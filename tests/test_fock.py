@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oamclone import BasisMismatchError, ConfigurationError, InvalidStateError, elements, fock
+from oamclone import (BasisMismatchError, ConfigurationError, FockError, InvalidStateError,
+                      elements, fock)
 from oamclone.cloning import label_basis
 from oamclone.fock import (
     ModeIndex,
@@ -16,6 +17,7 @@ from oamclone.fock import (
     superposition_state,
     symmetrize_product,
 )
+from oamclone.qubit import QuditSpec
 from pair_reference import (pair_amplitude, pair_amplitudes, pair_density,
                             partial_trace_to_single, photon_amplitude, state_from_kets)
 
@@ -196,13 +198,59 @@ class TestSuperpositionState:
         with pytest.raises(InvalidStateError):
             superposition_state(basis, [(ModeIndex("a", "L", 0), 0.0)])
 
-    @pytest.mark.parametrize("amplitudes", [(math.nan, 1.0), (1e200, 1e200)])
+    @pytest.mark.parametrize("amplitudes", [(math.nan, 1.0)])
     def test_non_finite_norm_rejected(self, amplitudes):
-        # neither an all-NaN photon nor, from an overflowing norm, an all-zero one
+        # not an all-NaN photon
         basis = build_basis(("a",), (-2, 2))
         modes = (ModeIndex("a", "L", 2), ModeIndex("a", "L", -2))
-        with pytest.raises(InvalidStateError, match="not finite"):
+        with pytest.raises(InvalidStateError, match="must be finite and not all zero"):
             superposition_state(basis, zip(modes, amplitudes))
+
+    def test_overflowing_norm_is_normalized(self):
+        # finite amplitudes whose norm alone overflows give the photon of their direction
+        basis = build_basis(("a",), (-2, 2), pols=("L",))
+        modes = (ModeIndex("a", "L", 2), ModeIndex("a", "L", -2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = superposition_state(basis, zip(modes, (1e200, 1e200)))
+        assert np.array_equal(psi.amplitudes, [1 / math.sqrt(2)] * 2)
+
+
+# one vector at each edge of the amplitude rule, as (m = -2, m = +2) amplitudes
+ONE_RULE_VECTORS = {
+    "norm1+1e-13": [0.6 * (1 + 1e-13), 0.8j * (1 + 1e-13)],
+    "norm1-1e-13": [0.6 * (1 - 1e-13), 0.8j * (1 - 1e-13)],
+    "norm1+1e-6": [0.6 * (1 + 1e-6), 0.8j * (1 + 1e-6)],
+    "scale1e-300": [3e-300, 4e-300j],
+    "scale1e200": [3e200, 4e200j],
+    "nan": [math.nan, 1.0],
+    "inf": [math.inf, 0.0],
+    "zero": [0.0, 0.0],
+}
+
+
+@pytest.mark.parametrize("amplitudes", ONE_RULE_VECTORS.values(), ids=ONE_RULE_VECTORS.keys())
+def test_every_state_vector_follows_one_amplitude_rule(amplitudes):
+    # an input, a photon and a photon's projector: equal amplitudes, or one refusal
+    basis = build_basis(("a",), (-2, 2), pols=("L",))
+
+    def outcome(build):
+        try:
+            return build()
+        except FockError as err:
+            return type(err), str(err)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = outcome(lambda: QuditSpec(amplitudes).amplitudes)
+        photon = outcome(lambda: superposition_state(basis, zip(basis.modes, amplitudes)))
+        projector = outcome(lambda: pure_density(PhotonState(basis, amplitudes)).matrix)
+    if isinstance(spec, tuple):
+        assert spec == (InvalidStateError, "amplitudes must be finite and not all zero")
+        assert photon == projector == spec
+    else:
+        assert np.array_equal(photon.amplitudes, spec)
+        assert np.array_equal(projector, np.outer(spec, spec.conj()))
 
 
 class TestSymmetrizeProduct:
@@ -363,7 +411,7 @@ class TestPureDensity:
         psi = PhotonState(build_basis(("a",), (-2, 2), pols=("L",)), [bad, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidStateError, match="not finite"):
+            with pytest.raises(InvalidStateError, match="must be finite and not all zero"):
                 pure_density(psi)
 
 

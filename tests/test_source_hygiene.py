@@ -29,9 +29,12 @@ ERROR_CLASSES = {"FockError", "ConfigurationError", "BasisMismatchError", "Inval
 # function -> the (module file, function) pairs that may call it: every cloner
 # goes through the core, the HOM overlap reads the same coalescence, a mode is
 # named only by the general basis, the splitter and the cloner's label-order
-# basis, and the general basis serves only tests and the package's users
+# basis, the general basis serves only tests and the package's users, and every
+# state vector is normalized by the one amplitude rule
 ALLOWED_CALLERS = {
     "build_basis": set(),
+    "normalized_amplitudes": {("qubit.py", "__init__"), ("fock.py", "superposition_state"),
+                              ("fock.py", "pure_density")},
     "ModeIndex": {("fock.py", "build_basis"), ("elements.py", "beam_splitter"),
                   ("cloning.py", "label_basis")},
     "coalesce": {("cloning.py", "label_clone"), ("interference.py", "internal_overlap")},
