@@ -18,14 +18,13 @@ from typing import Callable, NamedTuple, Optional
 # numpy and the physics modules are imported inside the runners, so a command
 # loads only what it runs, and --version, --help and validate load no numpy
 from . import ConfigurationError, FockError, __version__
-from .states import SIX_STATE_AMPLITUDES
+from .states import STATE_NAMES
 
 EXIT_RUNTIME = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 
 STATE_ALIASES = {"+2": "plus2", "-2": "minus2"}
-STATE_NAMES = tuple(SIX_STATE_AMPLITUDES)
 
 
 # Upper bounds on the sizes a config controls, with the time of one main()

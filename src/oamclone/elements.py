@@ -1,18 +1,10 @@
-"""The balanced beam splitter, its checked cache, and ``coalesce``: both photons
-leave by one port, the event whose rate is the HOM enhancement and whose
-one-photon marginal is the clone.
+"""The balanced beam splitter, its checked cache, its two-photon action ``apply``,
+and ``coalesce``: both photons leave by one port, the event whose rate is the HOM
+enhancement and whose one-photon marginal is the clone.
 
 Convention (frozen for reproducibility, see README): out_a' = (in_a + i F
 in_b)/sqrt(2), out_b' = (i F in_a + in_b)/sqrt(2), where F inverts the OAM
 sign on reflection; a -> a' is the transmitted port.
-
-``apply`` on a two-photon state computes S -> M S M^T densely below
-``fock.GATHER_MIN_MODES`` basis modes.  At or above it, it contracts over the
-occupied modes k only and writes only the block of rows r that M[:, k] reaches,
-from the first such row to the last: S'[r, r] = M[r, k] S[k, k] M[r, k]^T in a
-zeroed S'.  Before the splitter a qudit branch occupies d + 1 of its 4d modes,
-and the splitter sends them to the 2d primed modes only.  The zero state reaches
-no row and maps to the zero S'.
 """
 
 from __future__ import annotations
@@ -50,33 +42,28 @@ class ElementOperator:
         return self
 
 
-def apply(op: ElementOperator, state):
-    """Apply an element to a one- or two-photon state.
-
-    Two-photon states evolve via the symmetric coefficient matrix,
-    S -> M S M^T, which is the lift M (x) M on the bosonic sector; on
-    ``fock.GATHER_MIN_MODES`` or more modes only S's occupied modes k enter the
-    product, and only the range of rows that M[:, k] reaches is written (any row
-    in it that M[:, k] misses comes out exactly zero).  The full n x n S' is
-    returned either way, all zero for the zero state.
+def apply(op: ElementOperator, state: TwoPhotonState) -> TwoPhotonState:
+    """The element's two-photon action S -> M S M^T, the lift M (x) M on the bosonic
+    sector.  From ``fock.GATHER_MIN_MODES`` modes up only S's occupied modes k enter,
+    and only the rows that M[:, k] reaches are written (all zero for the zero state).
+    A PhotonState raises TypeError: a photon's image is ``op.matrix @ psi.amplitudes``.
     """
     if op.basis != state.basis:
         raise BasisMismatchError("operator and state bases differ")
-    if isinstance(state, PhotonState):
-        return PhotonState(op.basis, op.matrix @ state.amplitudes)
-    if isinstance(state, TwoPhotonState):
-        m, s = op.matrix, state.amplitudes
-        if op.basis.size < fock.GATHER_MIN_MODES:
-            return TwoPhotonState(op.basis, m @ s @ m.T)
-        k = np.flatnonzero(s.any(0))
-        m = m.take(k, 1)  # take copies in about half the time of m[:, k] at n = 36
-        r = np.flatnonzero(m.any(1))  # empty for the zero state
-        out = np.zeros(s.shape, dtype=complex)
-        if r.size:
-            rows = slice(r[0], r[-1] + 1)
-            out[rows, rows] = m[rows] @ s.take(k, 0).take(k, 1) @ m[rows].T
-        return TwoPhotonState(op.basis, out)
-    raise TypeError(f"unsupported state type {type(state)}")
+    if not isinstance(state, TwoPhotonState):
+        raise TypeError(f"apply is the two-photon lift S -> M S M^T, not a map of "
+                        f"{type(state).__name__}; a photon's image is op.matrix @ psi.amplitudes")
+    m, s = op.matrix, state.amplitudes
+    if op.basis.size < fock.GATHER_MIN_MODES:
+        return TwoPhotonState(op.basis, m @ s @ m.T)
+    k = np.flatnonzero(s.any(0))
+    m = m.take(k, 1)  # take copies in about half the time of m[:, k] at n = 36
+    r = np.flatnonzero(m.any(1))  # empty for the zero state
+    out = np.zeros(s.shape, dtype=complex)
+    if r.size:
+        rows = slice(r[0], r[-1] + 1)
+        out[rows, rows] = m[rows] @ s.take(k, 0).take(k, 1) @ m[rows].T
+    return TwoPhotonState(op.basis, out)
 
 
 def beam_splitter(basis: ModeBasis) -> ElementOperator:

@@ -20,9 +20,8 @@ import numpy as np
 
 from . import ConfigurationError
 from .qubit import QubitSpec, qudit_formula
-from .states import SIX_STATE_AMPLITUDES
+from .states import STATE_NAMES
 
-TABLE_ONE_STATES = tuple(SIX_STATE_AMPLITUDES)
 POISSON_MEAN_MAX = 9.223372006484771e18  # numpy's poisson limit: int64 max - 10 sqrt(int64 max)
 
 
@@ -158,10 +157,10 @@ class TableOneReport:
 def table_one_run(model: ImperfectionModel, budget: LossBudget,
                   duration_s: float, seed) -> TableOneReport:
     """Simulated count run for the six reference states."""
-    seeds = np.random.SeedSequence(seed).spawn(len(TABLE_ONE_STATES))
+    seeds = np.random.SeedSequence(seed).spawn(len(STATE_NAMES))
     rows = []
     fids = []
-    for label, sub in zip(TABLE_ONE_STATES, seeds):
+    for label, sub in zip(STATE_NAMES, seeds):
         rec = simulate_counts(QubitSpec.named(label), model, budget, duration_s, sub)
         rows.append((label, rec.c1, rec.c2, rec.f_exp, rec.poisson_error))
         if rec.total:

@@ -28,19 +28,10 @@ POLS = ("L", "R")
 NORM_ATOL = 1e-12
 HERM_ATOL = 1e-12
 PSD_ATOL = 1e-10
-# From this many basis modes up, both two-photon kernels touch only the occupied
-# modes k (before the splitter a qudit branch occupies d + 1 of its 4d modes):
-# symmetrize_product writes S[k, k], elements.apply writes only the rows r that
-# M[:, k] reaches, S'[r, r] = M[r, k] S[k, k] M[r, k]^T.
-# Best of 7 x 500, dense vs gathered (us), one qudit branch, eight runs (the lowest
-# of each shown).  apply (reached-block kernel): n = 32 16.2 vs 19.1, dense faster
-# in 8 of 8; n = 36 19.7 vs 20.9, dense faster in 8 of 8; n = 40 25.2 vs 22.2,
-# gathered faster in 7 of 8; n = 48 45 vs 33; n = 96 157 vs 48.
-# symmetrize_product: n = 32 7.2 vs 7.8, dense faster in 7 of 8; n = 36 8.1 vs 8.1,
-# gathered faster in 3 of 8; n = 40 9.3 vs 8.3, gathered faster in 7 of 8; n = 48
-# 12.3 vs 9.1; n = 96 111 vs 14.  apply's crossover lies between 36 and 40; the
-# bound stays at 36, where apply's gap is about 1 us a branch, within the noise of
-# a d = 9 clone.
+# From this many basis modes up both two-photon kernels touch only the occupied modes:
+# dense wins below 36 modes and gathered from 36-40 up (timings in CHANGES.md).  A qudit
+# clone runs on n = 4d modes, so d <= 8 runs dense and d >= 9 gathered; the benchmark's
+# workloads have no basis between 32 and 64 modes.
 GATHER_MIN_MODES = 36
 
 
@@ -176,10 +167,8 @@ def symmetrize_product(psi_a: PhotonState, psi_b: PhotonState) -> TwoPhotonState
     the double-occupancy kets.  The norm is taken in closed form,
     ||u v^T + v u^T||_F^2 = 2 (||u||^2 ||v||^2 + |u^dag v|^2), so no n x n
     pass precedes the one scaled outer product and its symmetrizing add.
-    On ``GATHER_MIN_MODES`` or more modes that product and add run on the
-    occupied modes k = supp(u) | supp(v) only and fill S[k, k] of a zeroed
-    S: every entry is the same float expression, so S is the dense one bit
-    for bit (a qudit branch occupies d + 1 of its 4d modes).
+    From ``GATHER_MIN_MODES`` modes up they run on the occupied modes
+    k = supp(u) | supp(v) only and fill S[k, k] of a zeroed S, bit for bit the dense S.
     """
     if psi_a.basis != psi_b.basis:
         raise BasisMismatchError("photons must share a basis")

@@ -13,3 +13,4 @@ SIX_STATE_AMPLITUDES = {
     "a": ((1 - 1j) / 2, (1 + 1j) / 2),
     "d": ((1 + 1j) / 2, (1 - 1j) / 2),
 }
+STATE_NAMES = tuple(SIX_STATE_AMPLITUDES)

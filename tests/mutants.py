@@ -72,14 +72,17 @@ MUTANTS = [
     Mutant("src/oamclone/elements.py", "rows = slice(r[0], r[-1] + 1)",
            "rows = slice(r[0], r[-1])", "apply writes every row the splitter reaches",
            ("tests/test_elements.py::TestApply"
-            "::test_at_the_gather_size_any_element_writes_only_the_rows_it_reaches",)),
+            "::test_at_the_gather_size_any_element_writes_only_the_rows_it_reaches",
+            "tests/test_channel_reference.py::test_label_clone_with_the_maximally_mixed_ancilla")),
     Mutant("src/oamclone/cloning.py", "phi.conj() @ clone.matrix @ phi",
            "phi @ clone.matrix @ phi.conj()", "the fidelity is <phi|clone|phi>",
-           ("tests/test_cloning.py::TestOptimalCloning::test_fidelity_five_sixths_full_route",)),
+           ("tests/test_cloning.py::TestOptimalCloning::test_fidelity_five_sixths_full_route",
+            "tests/test_channel_reference.py::test_label_clone_with_the_maximally_mixed_ancilla")),
     Mutant("src/oamclone/cloning.py", "phi = psi_a.amplitudes[:d]",
            "phi = np.asarray(amps, dtype=complex)", "the fidelity scores the normalized input",
            ("tests/test_qudit.py::TestChannelAgreement"
-            "::test_an_input_off_unit_norm_is_scored_normalized",)),
+            "::test_an_input_off_unit_norm_is_scored_normalized",
+            "tests/test_channel_reference.py::test_label_clone_with_the_maximally_mixed_ancilla")),
     Mutant("src/oamclone/cloning.py", "if len(amps) != d:", "if False:",
            "an ancilla has one amplitude per label",
            ("tests/test_elements.py::TestCoalesce"
@@ -98,7 +101,8 @@ MUTANTS = [
            ("tests/test_qudit.py::test_a_norm_just_off_one_is_rescaled",)),
     Mutant("src/oamclone/fock.py", "PhotonState(basis, normalized_amplitudes(vec))",
            "PhotonState(basis, vec)", "a photon is normalized by the one amplitude rule",
-           ("tests/test_fock.py::test_every_state_vector_follows_one_amplitude_rule",)),
+           ("tests/test_fock.py::test_every_state_vector_follows_one_amplitude_rule",
+            "tests/test_channel_reference.py::test_label_clone_with_the_maximally_mixed_ancilla")),
     Mutant("src/oamclone/fock.py", "v = normalized_amplitudes(state.amplitudes)",
            "v = state.amplitudes", "a projector is normalized by the one amplitude rule",
            ("tests/test_fock.py::test_every_state_vector_follows_one_amplitude_rule",)),

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oamclone
 from oamclone import ConfigurationError, cli, cloning
 from oamclone.cli import main, validate_config
+from oamclone.states import STATE_NAMES
 from fresh_process import child_env
 import stokes_reference
 
@@ -178,7 +179,7 @@ def test_hom_config_outside_the_table_exits_3_and_writes_nothing(hom_yaml, tmp_p
 # milliseconds; the bound + 1 tests above cover each bound itself.
 DRAWN_SIZE_CAPS = {"hom.delay_steps": 200, "clone.ancilla_samples": 20,
                    "qudit.d_min": 6, "qudit.d_max": 6, "stokes.runs": 4}
-LABELS = st.sampled_from([*cli.STATE_NAMES, *cli.STATE_ALIASES])
+LABELS = st.sampled_from([*STATE_NAMES, *cli.STATE_ALIASES])
 # the normalizers of a key that takes one state label and of one that takes a list
 STATE_LABEL = cli.KEYS["clone.input"].normalize
 STATE_LIST = cli.KEYS["stokes.states"].normalize
@@ -202,7 +203,7 @@ def rejected_values(key):
     outside its range or that its normalizer refuses."""
     if key.normalize is STATE_LABEL:
         return st.text("abcdhv+-2 ", max_size=4).filter(
-            lambda s: s not in cli.STATE_NAMES and s not in cli.STATE_ALIASES) \
+            lambda s: s not in STATE_NAMES and s not in cli.STATE_ALIASES) \
             | st.sampled_from([2, None, True, ["h"]])
     if key.normalize is STATE_LIST:
         return st.sampled_from([[], ["h"] * (cli.MAX_STOKES_STATES + 1), ["h", "x"],
@@ -270,7 +271,7 @@ def test_every_accepted_config_runs_to_finite_deterministic_outputs(scenario, co
     strict_json(outputs[0][f"{scenario}.json"].decode())
     for line in outputs[0][f"{scenario}.csv"].decode().splitlines()[1:]:
         for cell in line.split(","):
-            assert cell == "" or cell in cli.STATE_NAMES or math.isfinite(float(cell))
+            assert cell == "" or cell in STATE_NAMES or math.isfinite(float(cell))
 
 
 @pytest.mark.parametrize("name", sorted(cli.KEYS))

@@ -37,11 +37,6 @@ def pol_basis():
     return build_basis(("a",), (0,))
 
 
-def h_state(basis, path="a", oam=0):
-    return superposition_state(basis, [(ModeIndex(path, "L", oam), 1.0),
-                                       (ModeIndex(path, "R", oam), 1.0)])
-
-
 def _random_state(basis, rng):
     v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     return PhotonState(basis, v / np.linalg.norm(v))
@@ -49,14 +44,19 @@ def _random_state(basis, rng):
 
 class TestBeamSplitter:
     def test_single_photon_routing(self):
+        # a photon's image is the splitter matrix times its amplitudes; apply is the
+        # two-photon lift only and refuses a photon
         basis = build_basis(("a", "b", "a_prime", "b_prime"), (-2, 2))
         bs = beam_splitter(basis)
         psi = superposition_state(basis, [(ModeIndex("a", "L", 2), 1.0)])
-        out = apply(bs, psi)
+        out = PhotonState(basis, bs.matrix @ psi.amplitudes)
         assert photon_amplitude(out, ModeIndex("a_prime", "L", 2)) \
             == pytest.approx(1 / math.sqrt(2))
         assert photon_amplitude(out, ModeIndex("b_prime", "L", -2)) \
             == pytest.approx(1j / math.sqrt(2))
+        with pytest.raises(TypeError, match=r"two-photon lift S -> M S M\^T, not a map of "
+                                            r"PhotonState; a photon's image is op.matrix"):
+            apply(bs, psi)
 
     def test_unitary(self):
         basis = build_basis(("a", "b", "a_prime", "b_prime"), (-2, 0, 2))
@@ -198,11 +198,17 @@ class TestCoalesce:
 
 class TestApply:
     def test_identity(self):
-        basis = pol_basis()
-        ident = elements.ElementOperator(basis, np.eye(basis.size))
-        psi = h_state(basis)
-        out = apply(ident, psi)
-        assert np.allclose(out.amplitudes, psi.amplitudes)
+        rng = np.random.default_rng(3)
+        for d in (2, 24):  # 8 modes, below the gather size; 96, at it
+            # a qudit branch: the input on path a, one label on b
+            basis, labels = cloning.label_basis(d), cloning.oam_labels(d)
+            ident = elements.ElementOperator(basis, np.eye(basis.size))
+            amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+            psi = superposition_state(basis, [(ModeIndex("a", "L", m), c)
+                                              for m, c in zip(labels, amps)])
+            ancilla = superposition_state(basis, [(ModeIndex("b", "L", labels[-1]), 1.0)])
+            two = fock.symmetrize_product(psi, ancilla)
+            assert np.array_equal(apply(ident, two).amplitudes, two.amplitudes)
 
     def test_bs_lift_matches_resymmetrization(self):
         basis = build_basis(("a", "b", "a_prime", "b_prime"), (-2, 2))
@@ -211,7 +217,8 @@ class TestApply:
         for _ in range(50):
             pa, pb = _random_state(basis, rng), _random_state(basis, rng)
             lifted = apply(bs, fock.symmetrize_product(pa, pb))
-            resym = fock.symmetrize_product(apply(bs, pa), apply(bs, pb))
+            resym = fock.symmetrize_product(*(PhotonState(basis, bs.matrix @ psi.amplitudes)
+                                              for psi in (pa, pb)))
             # global phase agrees since both use the same linear expansion
             expected = pair_amplitudes(resym)
             for k, amp in pair_amplitudes(lifted).items():

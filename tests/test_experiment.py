@@ -8,7 +8,6 @@ from oamclone import ConfigurationError
 from oamclone.cloning import QubitSpec
 from oamclone.experiment import (
     POISSON_MEAN_MAX,
-    TABLE_ONE_STATES,
     ImperfectionModel,
     LossBudget,
     fidelity_from_counts,
@@ -19,6 +18,7 @@ from oamclone.experiment import (
     simulate_stokes_runs,
     table_one_run,
 )
+from oamclone.states import STATE_NAMES
 from stokes_reference import stokes_run
 
 
@@ -187,7 +187,7 @@ class TestSimulateCounts:
 class TestTableOneRun:
     def test_covers_the_six_states_and_tracks_the_prediction(self):
         report = table_one_run(ImperfectionModel(), LossBudget(), 600.0, 7)
-        assert [row[0] for row in report.rows] == list(TABLE_ONE_STATES)
+        assert [row[0] for row in report.rows] == list(STATE_NAMES)
         assert report.predicted == pytest.approx(0.8051178451178452, abs=1e-12)
         assert report.mean_fidelity == pytest.approx(report.predicted, abs=0.03)
 
@@ -217,7 +217,7 @@ class TestSimulateStokes:
 
     def test_mean_length_over_inputs(self):
         lengths = [simulate_stokes(QubitSpec.named(label), 50000, i).length
-                   for i, label in enumerate(TABLE_ONE_STATES)]
+                   for i, label in enumerate(STATE_NAMES)]
         assert np.mean(lengths) == pytest.approx(2.0 / 3.0, abs=0.02)
 
     def test_bad_count_request(self):
