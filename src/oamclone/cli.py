@@ -159,8 +159,6 @@ def validate_config(user: dict) -> dict:
     if config["qudit"]["d_max"] < config["qudit"]["d_min"]:
         raise ConfigurationError("qudit.d_max < qudit.d_min")
     exp = config["experiment"]
-    if exp["coupling_max"] < exp["coupling_min"]:
-        raise ConfigurationError("experiment.coupling_max < coupling_min")
     if not exp["coupling_min"] <= exp["coupling"] <= exp["coupling_max"]:
         raise ConfigurationError("experiment.coupling outside its interval")
     if exp["duration_s"] * exp["source_rate_hz"] > MAX_SOURCE_PAIRS:

@@ -68,8 +68,6 @@ class LossBudget:
                             ("default_coupling", self.default_coupling)]:
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1]")
-        if lo > hi:
-            raise ConfigurationError("fiber_coupling interval reversed")
         if not lo <= self.default_coupling <= hi:
             raise ConfigurationError("default_coupling outside the coupling interval")
         if not (math.isfinite(self.source_rate_hz) and self.source_rate_hz > 0):

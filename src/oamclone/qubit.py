@@ -35,7 +35,10 @@ def normalized_amplitudes(amplitudes) -> np.ndarray:
     ``math.hypot``, which does not underflow, only when that norm is more than 1e-12
     from 1; finite entries whose norm exceeds the largest double are first divided by
     the largest |real or imag part|."""
-    a = np.array(amplitudes, dtype=complex)
+    try:
+        a = np.array(amplitudes, dtype=complex)
+    except OverflowError:  # an int beyond the largest double
+        raise InvalidStateError("amplitudes must be finite and not all zero") from None
     if a.ndim != 1 or a.size < 1:
         raise ConfigurationError("amplitudes must be a nonempty vector")
     parts = (*a.real.tolist(), *a.imag.tolist())

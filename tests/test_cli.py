@@ -413,6 +413,15 @@ class TestExitCodes:
         assert res.returncode == 3
         assert "mystery" in res.stderr
 
+    @pytest.mark.parametrize("text, message", [("- seed\n- 1\n", "top-level config"),
+                                               ("hom: 3\n", "hom: expected a mapping")],
+                             ids=["top-level", "section"])
+    def test_a_config_that_is_not_a_mapping_exits_3(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert main(["validate", "--config", str(cfg)]) == 3
+        assert message in capsys.readouterr().err
+
     def test_unreadable_or_malformed_yaml_exits_2(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("a: [unclosed\n")

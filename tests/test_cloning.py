@@ -214,6 +214,10 @@ class TestUniversality:
         with pytest.raises(ConfigurationError):
             run_cloner_full(QubitSpec.named("h"), n_ancilla_samples=0)
 
+    def test_a_sweep_without_random_inputs_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="n must be >= 1"):
+            universality_sweep(0)
+
 
 class TestStokes:
     def test_stokes_of_simple_densities(self):
@@ -221,6 +225,10 @@ class TestStokes:
         assert np.allclose(stokes_vector(np.eye(2) / 2), [0, 0, 0])
         plus = np.full((2, 2), 0.5)
         assert np.allclose(stokes_vector(plus), [1, 0, 0])
+
+    def test_a_matrix_that_is_not_2x2_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="2x2"):
+            stokes_vector(np.eye(3) / 3)
 
     def test_record_round_trip(self, tmp_path):
         config = tmp_path / "clone_d.yaml"

@@ -306,6 +306,10 @@ class TestApply:
         with pytest.raises(BasisMismatchError):
             apply(op, other)
 
+    def test_an_operator_matrix_of_the_wrong_size_is_rejected(self):
+        with pytest.raises(BasisMismatchError, match="operator matrix"):
+            elements.ElementOperator(pol_basis(), np.eye(3))
+
     def test_validate_rejects_a_non_unitary_matrix(self):
         basis = pol_basis()
         lossy = elements.ElementOperator(basis, np.diag([1.0, 0.5]))

@@ -77,6 +77,13 @@ class TestLossBudget:
         with pytest.raises(ConfigurationError):
             LossBudget(source_rate_hz=0.0)
 
+    @pytest.mark.parametrize("field", [{"qplate_efficiency": 1.5}, {"transferrer_success": -0.1},
+                                       {"fiber_coupling": (-0.1, 0.25)}],
+                             ids=["qplate", "transferrer", "coupling-low"])
+    def test_each_probability_lies_in_the_unit_interval(self, field):
+        with pytest.raises(ConfigurationError, match=r"must lie in \[0, 1\]"):
+            LossBudget(**field)
+
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
     def test_non_finite_source_rate_rejected(self, rate):
         with pytest.raises(ConfigurationError):

@@ -156,10 +156,14 @@ class TestBuildBasis:
             assert basis.index(mode) == pos
 
     def test_empty_inputs_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="paths and oam_set must be nonempty"):
             build_basis((), (0,))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="paths and oam_set must be nonempty"):
             build_basis(("a",), ())
+
+    def test_an_empty_mode_list_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="empty mode basis"):
+            fock.ModeBasis([])
 
     def test_duplicates_rejected(self):
         m = ModeIndex("a", "L", 0)
@@ -170,8 +174,19 @@ class TestBuildBasis:
         with pytest.raises(ConfigurationError):
             ModeIndex("c", "L", 0)
 
+    def test_unknown_polarization_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown polarization"):
+            ModeIndex("a", "H", 0)
 
 class TestSuperpositionState:
+    def test_a_mode_outside_the_basis_is_rejected(self):
+        with pytest.raises(BasisMismatchError, match="not in basis"):
+            superposition_state(build_basis(("a",), (0,)), [(ModeIndex("b", "L", 0), 1.0)])
+
+    def test_an_amplitude_vector_of_the_wrong_size_is_rejected(self):
+        with pytest.raises(BasisMismatchError, match="amplitude vector"):
+            PhotonState(build_basis(("a",), (0,)), np.ones(3))
+
     def test_single_term(self):
         basis = build_basis(("a",), (-2, 2))
         psi = superposition_state(basis, [(ModeIndex("a", "L", 2), 1.0)])
@@ -334,6 +349,13 @@ class TestSymmetrizeProduct:
         with pytest.raises(BasisMismatchError):
             symmetrize_product(pa, pb)
 
+    def test_inner_product_across_bases_rejected(self):
+        # equal sizes, so only the basis check tells the two apart
+        sa = TwoPhotonState(build_basis(("a",), (0,)), np.eye(2) / 2)
+        sb = TwoPhotonState(build_basis(("b",), (0,)), np.eye(2) / 2)
+        with pytest.raises(BasisMismatchError, match="common basis"):
+            sa.inner(sb)
+
     def test_inner_and_norm_are_those_of_the_pair_kets(self):
         basis = build_basis(("a", "b"), (-2, 0, 2))
         rng = np.random.default_rng(13)
@@ -415,6 +437,12 @@ class TestPureDensity:
                 pure_density(psi)
 
 
+    def test_a_two_photon_state_is_refused(self):
+        two = TwoPhotonState(build_basis(("a",), (0,)), np.eye(2) / 2)
+        with pytest.raises(TypeError, match="unsupported state type"):
+            pure_density(two)
+
+
 class TestMix:
     def _basis_states(self):
         basis = build_basis(("a",), (-2, 2), pols=("L",))
@@ -463,6 +491,14 @@ class TestMix:
         n = 100_000
         rho = mix([(pure_density(plus), 1.0 / n)] * n).validate()
         assert np.allclose(rho.matrix, pure_density(plus).matrix, atol=1e-10)
+
+    def test_states_on_different_bases_are_rejected(self):
+        # equal sizes, so only the basis check tells the two apart
+        _, plus, _ = self._basis_states()
+        other = superposition_state(build_basis(("b",), (-2, 2), pols=("L",)),
+                                    [(ModeIndex("b", "L", -2), 1.0)])
+        with pytest.raises(BasisMismatchError, match="mismatched bases"):
+            mix([(pure_density(plus), 0.5), (pure_density(other), 0.5)])
 
     def test_empty_mixture_is_rejected(self):
         with pytest.raises(ConfigurationError):  # its weights sum to 0
@@ -524,6 +560,11 @@ class TestPartialTrace:
         psi = superposition_state(basis, [(ModeIndex("a", "L", 0), 1.0)])
         with pytest.raises(BasisMismatchError):
             partial_trace_to_single(pure_density(psi))
+
+    def test_the_zero_state_is_refused(self):
+        zero = TwoPhotonState(build_basis(("a", "b"), (0,)), np.zeros((4, 4)))
+        with pytest.raises(InvalidStateError, match="zero two-photon state"):
+            fock.reduced_single_pure(zero)
 
     def test_reduced_single_pure_matches_general_route(self):
         basis = build_basis(("a", "b"), (-2, 2), pols=("L",))

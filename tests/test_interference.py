@@ -116,6 +116,12 @@ class TestInternalOverlap:
         with pytest.raises(ConfigurationError):
             internal_overlap(oam_state("a", 1, 0), oam_state("a", 0, 1))
 
+    def test_a_photon_on_both_input_paths_is_rejected(self):
+        both = superposition_state(BASIS, [(ModeIndex("a", "L", 2), 1.0),
+                                           (ModeIndex("b", "L", 2), 1.0)])
+        with pytest.raises(ConfigurationError, match="exactly one path"):
+            internal_overlap(both, oam_state("b", 1, 0))
+
 
 class TestCoincidenceCurve:
     def test_peak_and_baseline(self):

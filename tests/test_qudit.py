@@ -252,6 +252,12 @@ def test_non_finite_amplitudes_rejected(amplitudes):
         QuditSpec(np.array(amplitudes))
 
 
+def test_amplitudes_too_large_for_a_double_are_rejected():
+    # complex(10 ** 400) overflows while the vector is built, before any norm is taken
+    with pytest.raises(InvalidStateError, match="must be finite and not all zero"):
+        QuditSpec([10 ** 400, 1])
+
+
 def test_finite_amplitudes_whose_norm_overflows_are_normalized():
     # the norm, not any entry, exceeds the largest double
     r = 1 / math.sqrt(2)
