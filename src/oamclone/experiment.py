@@ -125,24 +125,24 @@ def _poisson_pair(mean: float, p, seeds) -> np.ndarray:
         -1, *means.shape)
 
 
-def simulate_counts(input_qubit: QubitSpec, model: ImperfectionModel,
-                    budget: LossBudget, duration_s: float, seed) -> CountRecord:
-    """Draw Poisson coincidence counts for the clone / anti-clone detectors.
-
-    The D_T x D_1 and D_T x D_2 streams are independent Poisson draws with
-    means duration * rate * F and duration * rate * (1 - F), where F =
-    predicted_fidelity(model); without counts, f_exp and poisson_error are None.
-    Deterministic for a fixed seed.  ``input_qubit`` is not read: the universal
-    cloner's counts do not depend on it.
-    """
+def _count_records(model: ImperfectionModel, budget: LossBudget, duration_s, seeds) -> list:
+    """One CountRecord per seed, from one ``_poisson_pair`` call.  The D_T x D_1 and
+    D_T x D_2 streams are independent Poisson draws with means duration * rate * F and
+    duration * rate * (1 - F), where F = predicted_fidelity(model); without counts,
+    f_exp and poisson_error are None."""
     if not (math.isfinite(duration_s) and duration_s >= 0):
         raise ConfigurationError("duration must be finite and nonnegative")
     rate = budget.rate(budget.default_coupling)
-    c1, c2 = _poisson_pair(duration_s * rate, predicted_fidelity(model), [seed])[0].tolist()
-    if c1 + c2 == 0:
-        return CountRecord(0, 0, None, None)
-    f_exp, sigma = fidelity_from_counts(c1, c2)
-    return CountRecord(c1, c2, f_exp, sigma)
+    pairs = _poisson_pair(duration_s * rate, predicted_fidelity(model), seeds).tolist()
+    return [CountRecord(c1, c2, *fidelity_from_counts(c1, c2)) if c1 + c2
+            else CountRecord(0, 0, None, None) for c1, c2 in pairs]
+
+
+def simulate_counts(input_qubit: QubitSpec, model: ImperfectionModel,
+                    budget: LossBudget, duration_s: float, seed) -> CountRecord:
+    """Clone / anti-clone counts, ``_count_records`` for one seed.  ``input_qubit`` is not
+    read: the universal cloner's counts do not depend on it."""
+    return _count_records(model, budget, duration_s, [seed])[0]
 
 
 @dataclass
@@ -154,15 +154,12 @@ class TableOneReport:
 
 def table_one_run(model: ImperfectionModel, budget: LossBudget,
                   duration_s: float, seed) -> TableOneReport:
-    """Simulated count run for the six reference states."""
-    seeds = np.random.SeedSequence(seed).spawn(len(STATE_NAMES))
-    rows = []
-    fids = []
-    for label, sub in zip(STATE_NAMES, seeds):
-        rec = simulate_counts(QubitSpec.named(label), model, budget, duration_s, sub)
-        rows.append((label, rec.c1, rec.c2, rec.f_exp, rec.poisson_error))
-        if rec.total:
-            fids.append(rec.f_exp)
+    """Simulated count run for the six reference states, one draw over their spawned seeds."""
+    records = _count_records(model, budget, duration_s,
+                             np.random.SeedSequence(seed).spawn(len(STATE_NAMES)))
+    rows = [(label, r.c1, r.c2, r.f_exp, r.poisson_error)
+            for label, r in zip(STATE_NAMES, records)]
+    fids = [r.f_exp for r in records if r.total]
     mean = float(np.mean(fids)) if fids else None
     return TableOneReport(rows, mean, predicted_fidelity(model))
 
@@ -174,37 +171,27 @@ class StokesRun:
     length: float
 
 
-def simulate_stokes_runs(input_qubit: QubitSpec, counts_per_basis: int, seeds, *, ideal=None):
+def simulate_stokes_runs(input_qubit: QubitSpec, counts_per_basis: int, seeds):
     """Stokes-vector estimates of the ideal clone from finite count statistics, one per seed.
 
-    For each of the three Pauli axes the two projective outcomes receive
-    independent Poisson counts around their ideal-clone probabilities and
-    the component is estimated as the normalized count difference (0.0 without
-    counts).  ``ideal`` is the ideal clone's Stokes vector: three finite components
-    with norm at most 1 (+1e-12 for rounding); left out, it is computed with
-    ``cloning.run_cloner_full(input_qubit)``.  Checked once for all seeds; returns
+    For each of the three Pauli axes the two projective outcomes receive independent
+    Poisson counts around the probabilities of ``cloning.run_cloner_full(input_qubit)``,
+    and the component is the normalized count difference (0.0 without counts).  Returns
     (the input's Bloch vector, the estimates as a (len(seeds), 3) array, their lengths).
     """
     if (isinstance(counts_per_basis, (bool, np.bool_))
             or not 1 <= counts_per_basis <= POISSON_MEAN_MAX
             or counts_per_basis != int(counts_per_basis)):
         raise ConfigurationError("counts_per_basis must be a finite integer, 1 to POISSON_MEAN_MAX")
-    if ideal is None:
-        from . import cloning
-        ideal = cloning.run_cloner_full(input_qubit).stokes
-    ideal = np.asarray(ideal, dtype=float)
-    if ideal.shape != (3,) or not np.all(np.isfinite(ideal)) \
-            or np.linalg.norm(ideal) > 1.0 + 1e-12:
-        raise ConfigurationError("ideal must be 3 finite Stokes components of norm at most 1")
-    p_plus = np.clip((1.0 + ideal) / 2.0, 0.0, 1.0)  # |s| may pass 1 by the rounding
-    counts = _poisson_pair(counts_per_basis, p_plus, seeds)  # +x, -x, +y, -y, +z, -z
+    from . import cloning
+    ideal = cloning.run_cloner_full(input_qubit).stokes
+    counts = _poisson_pair(counts_per_basis, (1.0 + ideal) / 2.0, seeds)  # +x, -x, +y, -y, +z, -z
     c_plus, c_minus = counts[..., 0], counts[..., 1]
     est = (c_plus - c_minus) / np.maximum(c_plus + c_minus, 1)  # 0.0 where a basis has no counts
     return input_qubit.bloch(), est, [float(np.linalg.norm(e)) for e in est]
 
 
-def simulate_stokes(input_qubit: QubitSpec, counts_per_basis: int, seed, *,
-                    ideal=None) -> StokesRun:
+def simulate_stokes(input_qubit: QubitSpec, counts_per_basis: int, seed) -> StokesRun:
     """``simulate_stokes_runs`` for one seed."""
-    bloch, est, lengths = simulate_stokes_runs(input_qubit, counts_per_basis, [seed], ideal=ideal)
+    bloch, est, lengths = simulate_stokes_runs(input_qubit, counts_per_basis, [seed])
     return StokesRun(bloch, est[0], lengths[0])

@@ -108,6 +108,8 @@ def hom_curve(psi_a: PhotonState, psi_b: PhotonState, delays,
     C(delay) = 1 + v(delay)^2 * mu, relative to the fully distinguishable rate.
     """
     delays = np.asarray(list(delays), dtype=float)
+    if delays.ndim != 1:
+        raise ConfigurationError(f"delay scan must be 1-D, got shape {delays.shape}")
     if delays.size == 0:
         raise ConfigurationError("empty delay scan")
     v = temporal_overlap(delays, profile)

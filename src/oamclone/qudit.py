@@ -22,7 +22,7 @@ from .fock import DensityOperator
 from .qubit import QuditSpec, qudit_formula  # noqa: F401 - tests and the benchmark read it here
 
 # brute_force_oracle's cap, read by the benchmark checks; its pair operator is
-# d^2 x d^2, so checks at larger d call cloning.symmetric_subspace_clone directly
+# d^2 x d^2, so at larger d those checks stop after the closed form and run no oracle
 MAX_ORACLE_DIM = 8
 
 

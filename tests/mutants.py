@@ -136,7 +136,7 @@ GUARDS = [
     Guard("src/oamclone/experiment.py", "_poisson_pair", "means.max() > POISSON_MEAN_MAX",
           ("tests/test_experiment.py::TestSimulateCounts"
            "::test_poisson_mean_above_numpys_limit_rejected",)),
-    Guard("src/oamclone/experiment.py", "simulate_counts",
+    Guard("src/oamclone/experiment.py", "_count_records",
           "not (math.isfinite(duration_s) and duration_s >= 0)",
           ("tests/test_experiment.py::TestSimulateCounts::test_non_finite_duration_rejected",)),
     Guard("src/oamclone/experiment.py", "simulate_stokes_runs",
@@ -145,11 +145,6 @@ GUARDS = [
           "or counts_per_basis != int(counts_per_basis)",
           ("tests/test_experiment.py::TestSimulateStokes"
            "::test_count_request_must_be_a_finite_integer",)),
-    Guard("src/oamclone/experiment.py", "simulate_stokes_runs",
-          "ideal.shape != (3,) or not np.all(np.isfinite(ideal)) "
-          "or np.linalg.norm(ideal) > 1.0 + 1e-12",
-          ("tests/test_experiment.py::TestSimulateStokes"
-           "::test_ideal_must_be_three_finite_components_in_the_ball",)),
     Guard("src/oamclone/fock.py", "ModeIndex.__post_init__", "self.path not in PATHS",
           ("tests/test_fock.py::TestBuildBasis::test_unknown_path_rejected",)),
     Guard("src/oamclone/fock.py", "ModeIndex.__post_init__", "self.pol not in POLS",
@@ -209,6 +204,9 @@ GUARDS = [
            "::test_a_photon_on_both_input_paths_is_rejected",)),
     Guard("src/oamclone/interference.py", "internal_overlap", '{pa, pb} != {"a", "b"}',
           ("tests/test_interference.py::TestInternalOverlap::test_same_path_inputs_rejected",)),
+    Guard("src/oamclone/interference.py", "hom_curve", "delays.ndim != 1",
+          ("tests/test_interference.py::TestCoincidenceCurve"
+           "::test_a_scan_that_is_not_1d_is_rejected",)),
     Guard("src/oamclone/interference.py", "hom_curve", "delays.size == 0",
           ("tests/test_interference.py::TestCoincidenceCurve::test_empty_scan_rejected",)),
     Guard("src/oamclone/qubit.py", "qudit_formula", "d < 1",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oamclone import ConfigurationError
-from oamclone.cloning import QubitSpec
+from oamclone.cloning import QubitSpec, run_cloner_full
 from oamclone.experiment import (
     POISSON_MEAN_MAX,
     ImperfectionModel,
@@ -213,6 +213,15 @@ class TestTableOneRun:
         b = table_one_run(ImperfectionModel(), LossBudget(), 600.0, 5)
         assert a.rows == b.rows
 
+    @pytest.mark.parametrize("duration_s", [600.0, 0.0])
+    def test_rows_are_six_single_draws_on_the_spawned_seeds(self, duration_s):
+        model, budget = ImperfectionModel(), LossBudget()
+        report = table_one_run(model, budget, duration_s, 3)
+        records = [simulate_counts(QubitSpec.named(label), model, budget, duration_s, sub)
+                   for label, sub in zip(STATE_NAMES, np.random.SeedSequence(3).spawn(6))]
+        assert report.rows == [(label, r.c1, r.c2, r.f_exp, r.poisson_error)
+                               for label, r in zip(STATE_NAMES, records)]
+
 
 class TestSimulateStokes:
     def test_estimate_tracks_the_shrunk_bloch_vector(self):
@@ -237,33 +246,21 @@ class TestSimulateStokes:
         with pytest.raises(ConfigurationError, match="finite integer"):
             simulate_stokes(QubitSpec.named("h"), counts, 0)
 
-    @pytest.mark.parametrize("ideal", [[math.nan, 0.0, 0.0], [1.5, 0.0, 0.0], [0.5, 0.0]],
-                             ids=["nan", "norm_above_1", "two_components"])
-    def test_ideal_must_be_three_finite_components_in_the_ball(self, ideal):
-        with pytest.raises(ConfigurationError, match="ideal"):
-            simulate_stokes(QubitSpec.named("h"), 100, 0, ideal=ideal)
-
-    def test_ideal_on_the_sphere_up_to_rounding_is_accepted(self):
-        run = simulate_stokes(QubitSpec.named("h"), 100, 0, ideal=[0.0, -1.0 - 1e-13, 0.0])
-        assert run.estimated[1] == -1.0
-
     def test_runs_match_the_per_run_reference(self):
         seeds = np.random.SeedSequence(4).spawn(50)
-        ideal = (2.0 / 3.0) * QubitSpec.named("d").bloch()
-        bloch, est, lengths = simulate_stokes_runs(QubitSpec.named("d"), 400, seeds,
-                                                   ideal=ideal)
+        ideal = run_cloner_full(QubitSpec.named("d")).stokes
+        bloch, est, lengths = simulate_stokes_runs(QubitSpec.named("d"), 400, seeds)
         reference = [stokes_run(ideal, 400, seed) for seed in seeds]
         assert bloch.tolist() == QubitSpec.named("d").bloch().tolist()
         assert est.tolist() == [e.tolist() for e, _ in reference]
         assert lengths == [length for _, length in reference]
 
     def test_a_basis_without_counts_reads_zero_without_warning(self):
-        # one count per basis on the sphere: the -x mean is 0, and many runs get no count
-        ideal = [1.0, 0.0, 0.0]
+        # one count per basis: a basis gets no count with probability 1/e
+        ideal = run_cloner_full(QubitSpec.named("h")).stokes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, est, lengths = simulate_stokes_runs(QubitSpec.named("h"), 1, range(200),
-                                                   ideal=ideal)
+            _, est, lengths = simulate_stokes_runs(QubitSpec.named("h"), 1, range(200))
         reference = [stokes_run(ideal, 1, seed) for seed in range(200)]
         assert est.tolist() == [e.tolist() for e, _ in reference]
         assert lengths == [length for _, length in reference]

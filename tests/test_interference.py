@@ -170,6 +170,17 @@ class TestCoincidenceCurve:
         with pytest.raises(ConfigurationError):
             hom_curve(oam_state("a", 1, 0), oam_state("b", 0, 1), [], SpectralProfile())
 
+    @pytest.mark.parametrize("delays", [[[0.0, 1e-6]], [[0.0], [1e-6]]], ids=["row", "column"])
+    def test_a_scan_that_is_not_1d_is_rejected(self, delays):
+        with pytest.raises(ConfigurationError, match="1-D"):
+            hom_curve(oam_state("a", 1, 0), oam_state("b", 0, 1), delays, SpectralProfile())
+
+    def test_a_list_of_delays_is_not_one_point(self):
+        # coincidence_expectation reads one delay; a list of them is a 2-D scan
+        with pytest.raises(ConfigurationError, match="1-D"):
+            coincidence_expectation(oam_state("a", 1, 0), oam_state("b", 0, 1), [0.0, 1e-6],
+                                    SpectralProfile())
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_delay_rejected(self, bad):
         with pytest.raises(ConfigurationError):
