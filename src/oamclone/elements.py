@@ -1,6 +1,7 @@
-"""The balanced beam splitter, its checked cache, its two-photon action ``apply``,
-and ``coalesce``: both photons leave by one port, the event whose rate is the HOM
-enhancement and whose one-photon marginal is the clone.
+"""The balanced beam splitter, its checked cache, its two-photon action ``apply``, which
+reads the state's ``occupied`` modes and the operator's per-column row bounds, so no n x n
+pass precedes its product, and ``coalesce``: both photons leave by one port, the event
+whose rate is the HOM enhancement and whose one-photon marginal is the clone.
 
 Convention (frozen for reproducibility, see README): out_a' = (in_a + i F
 in_b)/sqrt(2), out_b' = (i F in_a + in_b)/sqrt(2), where F inverts the OAM
@@ -23,16 +24,20 @@ UNITARY_ATOL = 1e-10
 
 @dataclass
 class ElementOperator:
-    """Unitary map on the single-photon space of ``basis``."""
+    """Unitary map on the single-photon space of ``basis``; ``first`` and ``last`` hold each
+    column's first and last nonzero row (0 and n - 1 for none), found once."""
 
     basis: ModeBasis
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+        self.matrix = np.array(self.matrix, dtype=complex)
         n = self.basis.size
         if self.matrix.shape != (n, n):
             raise BasisMismatchError("operator matrix does not match basis size")
+        self.matrix.setflags(write=False)  # a copy, so first and last cannot go stale
+        nonzero = self.matrix != 0
+        self.first, self.last = nonzero.argmax(0), n - 1 - nonzero[::-1].argmax(0)
 
     def validate(self):
         m = self.matrix
@@ -44,9 +49,9 @@ class ElementOperator:
 
 def apply(op: ElementOperator, state: TwoPhotonState) -> TwoPhotonState:
     """The element's two-photon action S -> M S M^T, the lift M (x) M on the bosonic
-    sector.  From ``fock.GATHER_MIN_MODES`` modes up only S's occupied modes k enter,
-    and only the rows that M[:, k] reaches are written (all zero for the zero state).
-    A PhotonState raises TypeError: a photon's image is ``op.matrix @ psi.amplitudes``.
+    sector.  From ``fock.GATHER_MIN_MODES`` modes up only S's ``occupied`` modes k enter,
+    and only the rows min ``op.first[k]`` to max ``op.last[k]`` are written (none for the
+    zero state).  A PhotonState raises TypeError: its image is ``op.matrix @ psi.amplitudes``.
     """
     if op.basis != state.basis:
         raise BasisMismatchError("operator and state bases differ")
@@ -56,13 +61,12 @@ def apply(op: ElementOperator, state: TwoPhotonState) -> TwoPhotonState:
     m, s = op.matrix, state.amplitudes
     if op.basis.size < fock.GATHER_MIN_MODES:
         return TwoPhotonState(op.basis, m @ s @ m.T)
-    k = np.flatnonzero(s.any(0))
-    m = m.take(k, 1)  # take copies in about half the time of m[:, k] at n = 36
-    r = np.flatnonzero(m.any(1))  # empty for the zero state
+    k = state.occupied
     out = np.zeros(s.shape, dtype=complex)
-    if r.size:
-        rows = slice(r[0], r[-1] + 1)
-        out[rows, rows] = m[rows] @ s.take(k, 0).take(k, 1) @ m[rows].T
+    if k.size:
+        rows = slice(op.first[k].min(), op.last[k].max() + 1)
+        m = m[rows].take(k, 1)  # take copies in about half the time of m[:, k] at n = 36
+        out[rows, rows] = m @ s.take(k, 0).take(k, 1) @ m.T
     return TwoPhotonState(op.basis, out)
 
 

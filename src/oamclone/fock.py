@@ -1,15 +1,15 @@
 """Mode basis and one/two-photon bosonic state algebra.
 
-A single-photon mode is labelled by a spatial path, a circular polarization
-and an integer orbital-angular-momentum (OAM) value drawn from a finite
-truncation set.  A two-photon state is stored as one dense complex symmetric
-matrix S over the n modes, |psi> = sum_ij S_ij adag_i adag_j |0>, normalized
-so that 2 ||S||_F^2 = 1.  An optical element M acts as S -> M S M^T, a port
-post-selection returns the block of S on the port's modes as a state over
-the port's sub-basis, and the reduced single-photon state is 2 S S^dag.
-One rule each: the one amplitude rule, ``qubit.normalized_amplitudes``, normalizes
-every photon, and ``checked_weight`` and ``check_total`` hold the weights of ``mix``
-and ``elements.coalesce`` to a distribution.
+A single-photon mode is labelled by a spatial path, a circular polarization and an
+integer orbital-angular-momentum (OAM) value drawn from a finite truncation set.  A
+two-photon state is one dense complex symmetric matrix S over the n modes, |psi> =
+sum_ij S_ij adag_i adag_j |0>, 2 ||S||_F^2 = 1, read-only, with its ``occupied`` modes:
+``symmetrize_product`` carries them from its photons' supports.  An optical element M
+acts as S -> M S M^T, a port post-selection returns S's block on the port's modes, a
+slice (every basis is path-major), as a state over the port's sub-basis, and the reduced
+single-photon state is 2 S S^dag.  One rule each: the one amplitude rule,
+``qubit.normalized_amplitudes``, normalizes every photon, and ``checked_weight`` and
+``check_total`` hold the weights of ``mix`` and ``elements.coalesce`` to a distribution.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ POLS = ("L", "R")
 NORM_ATOL = 1e-12
 HERM_ATOL = 1e-12
 PSD_ATOL = 1e-10
-# From this many basis modes up both two-photon kernels touch only the occupied modes:
-# dense wins below 36 modes and gathered from 36-40 up (timings in CHANGES.md).  A qudit
-# clone runs on n = 4d modes, so d <= 8 runs dense and d >= 9 gathered; the benchmark's
-# workloads have no basis between 32 and 64 modes.
+# From this many basis modes up both two-photon kernels touch only the occupied modes. On one
+# qudit branch dense wins to 28 modes, the two run level at 32 and gathered wins from 36 up
+# (CHANGES.md); a qudit clone has n = 4d modes, so d <= 8 runs dense and d >= 9 gathered.
 GATHER_MIN_MODES = 36
 
 
@@ -70,12 +69,12 @@ class ModeBasis:
         return len(self.modes)
 
     def port(self, path: str):
-        """(sub-basis of ``path``'s modes, ``np.ix_`` index of its block), built once."""
+        """(sub-basis of ``path``'s modes, the slice of its block), built once."""
         if path not in self._ports:
             idx = [i for i, m in enumerate(self.modes) if m.path == path]
-            if not idx:
-                raise BasisMismatchError(f"no modes on path {path!r}")
-            self._ports[path] = ModeBasis(self.modes[i] for i in idx), np.ix_(idx, idx)
+            if not idx or idx[-1] - idx[0] != len(idx) - 1:
+                raise BasisMismatchError(f"no contiguous block of modes on path {path!r}")
+            self._ports[path] = ModeBasis(self.modes[i] for i in idx), slice(idx[0], idx[-1] + 1)
         return self._ports[path]
 
     def index(self, mode: ModeIndex) -> int:
@@ -133,22 +132,27 @@ def superposition_state(basis: ModeBasis, terms) -> PhotonState:
     return PhotonState(basis, normalized_amplitudes(vec))
 
 
-@dataclass
 class TwoPhotonState:
     """Bosonic two-photon state sum_ij S_ij adag_i adag_j |0> over a ModeBasis.
 
     ``amplitudes`` holds the complex symmetric n x n matrix S; a normalized
-    state has 2 ||S||_F^2 = 1.
+    state has 2 ||S||_F^2 = 1.  S is read-only, so ``occupied`` cannot go stale.
     """
 
-    basis: ModeBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        n = self.basis.size
-        if self.amplitudes.shape != (n, n):
+    def __init__(self, basis: ModeBasis, amplitudes, occupied=None):
+        self.basis, self.amplitudes = basis, np.asarray(amplitudes, dtype=complex)
+        if self.amplitudes.shape != (basis.size, basis.size):
             raise BasisMismatchError("coefficient matrix does not match basis size")
+        self.amplitudes.setflags(write=False)
+        self._occupied = occupied
+
+    @property
+    def occupied(self) -> np.ndarray:
+        """The occupied modes, np.flatnonzero(S.any(0)): carried by the kernel that built S,
+        else found from S on the first read."""
+        if self._occupied is None:
+            self._occupied = np.flatnonzero(self.amplitudes.any(0))
+        return self._occupied
 
     def norm(self) -> float:
         return math.sqrt(2.0) * float(np.linalg.norm(self.amplitudes))
@@ -167,8 +171,8 @@ def symmetrize_product(psi_a: PhotonState, psi_b: PhotonState) -> TwoPhotonState
     the double-occupancy kets.  The norm is taken in closed form,
     ||u v^T + v u^T||_F^2 = 2 (||u||^2 ||v||^2 + |u^dag v|^2), so no n x n
     pass precedes the one scaled outer product and its symmetrizing add.
-    From ``GATHER_MIN_MODES`` modes up they run on the occupied modes
-    k = supp(u) | supp(v) only and fill S[k, k] of a zeroed S, bit for bit the dense S.
+    From ``GATHER_MIN_MODES`` modes up they run on the occupied modes k = supp(u) | supp(v)
+    only and fill S[k, k] of a zeroed S, bit for bit the dense S; the state carries k.
     """
     if psi_a.basis != psi_b.basis:
         raise BasisMismatchError("photons must share a basis")
@@ -179,14 +183,14 @@ def symmetrize_product(psi_a: PhotonState, psi_b: PhotonState) -> TwoPhotonState
         raise InvalidStateError("symmetrized product has zero norm")
     n = len(u)
     if n < GATHER_MIN_MODES:
-        s = np.outer(u * (0.5 / norm), v)
+        s = (u * (0.5 / norm))[:, None] * v  # np.outer's product, without its wrapper
         s += s.T  # numpy adds a buffered copy of s.T, freed at once
         return TwoPhotonState(psi_a.basis, s)
     k = np.flatnonzero(np.logical_or(u, v))
-    t = np.outer(u[k] * (0.5 / norm), v[k])
+    t = (u[k] * (0.5 / norm))[:, None] * v[k]
     s = np.zeros((n, n), dtype=complex)
     s[k[:, None], k] = t + t.T  # faster than np.ix_
-    return TwoPhotonState(psi_a.basis, s)
+    return TwoPhotonState(psi_a.basis, s, k)
 
 
 def project_keys(state: TwoPhotonState, path: str) -> tuple:
@@ -198,7 +202,7 @@ def project_keys(state: TwoPhotonState, path: str) -> tuple:
     p > 1: the input was not normalized or an element was not unitary.
     """
     sub, block = state.basis.port(path)
-    s = state.amplitudes[block]
+    s = state.amplitudes[block, block]
     prob = 2.0 * float(np.vdot(s, s).real)
     if prob > 1.0 + NORM_ATOL:
         raise InvalidStateError(f"post-selection probability {prob} exceeds 1")
@@ -274,7 +278,7 @@ def reduced_single_pure(state: TwoPhotonState) -> DensityOperator:
     """
     s = state.amplitudes
     rho = s @ s.conj().T
-    tr = float(np.trace(rho).real)
+    tr = float(rho.trace().real)
     if tr < 1e-30:
         raise InvalidStateError("zero two-photon state")
     return DensityOperator(state.basis, rho * (1.0 / tr))

@@ -153,8 +153,10 @@ GUARDS = [
           ("tests/test_fock.py::TestBuildBasis::test_an_empty_mode_list_is_rejected",)),
     Guard("src/oamclone/fock.py", "ModeBasis.__init__", "mode in lookup",
           ("tests/test_fock.py::TestBuildBasis::test_duplicates_rejected",)),
-    Guard("src/oamclone/fock.py", "ModeBasis.port", "not idx",
-          ("tests/test_fock.py::TestProjectKeys::test_path_without_modes_rejected",)),
+    Guard("src/oamclone/fock.py", "ModeBasis.port", "not idx or idx[-1] - idx[0] != len(idx) - 1",
+          ("tests/test_fock.py::TestProjectKeys::test_path_without_modes_rejected",
+           "tests/test_fock.py::TestProjectKeys"
+           "::test_a_port_whose_modes_are_not_contiguous_is_rejected")),
     Guard("src/oamclone/fock.py", "ModeBasis.index", "except KeyError",
           ("tests/test_fock.py::TestSuperpositionState"
            "::test_a_mode_outside_the_basis_is_rejected",)),
@@ -164,7 +166,8 @@ GUARDS = [
           "self.amplitudes.shape != (self.basis.size,)",
           ("tests/test_fock.py::TestSuperpositionState"
            "::test_an_amplitude_vector_of_the_wrong_size_is_rejected",)),
-    Guard("src/oamclone/fock.py", "TwoPhotonState.__post_init__", "self.amplitudes.shape != (n, n)",
+    Guard("src/oamclone/fock.py", "TwoPhotonState.__init__",
+          "self.amplitudes.shape != (basis.size, basis.size)",
           ("tests/test_fock.py::TestSymmetrizeProduct"
            "::test_inner_and_norm_are_those_of_the_pair_kets",)),
     Guard("src/oamclone/fock.py", "TwoPhotonState.inner", "self.basis != other.basis",
@@ -253,11 +256,22 @@ MUTANTS = [
     Mutant("src/oamclone/elements.py", "(reflected, -mode.oam, 1j * inv)",
            "(reflected, mode.oam, 1j * inv)", "reflection flips the OAM sign",
            ("tests/test_elements.py::TestBeamSplitter::test_opposite_oam_coalesce",)),
-    Mutant("src/oamclone/elements.py", "rows = slice(r[0], r[-1] + 1)",
-           "rows = slice(r[0], r[-1])", "apply writes every row the splitter reaches",
+    Mutant("src/oamclone/elements.py", "rows = slice(op.first[k].min(), op.last[k].max() + 1)",
+           "rows = slice(op.first[k].min(), op.last[k].max())",
+           "apply writes every row the element reaches",
            ("tests/test_elements.py::TestApply"
             "::test_at_the_gather_size_any_element_writes_only_the_rows_it_reaches",
             "tests/test_channel_reference.py::test_label_clone_with_the_maximally_mixed_ancilla")),
+    Mutant("src/oamclone/elements.py", "n - 1 - nonzero[::-1].argmax(0)",
+           "n - 1 - nonzero.argmax(0)", "last is each column's last nonzero row",
+           ("tests/test_elements.py::TestApply"
+            "::test_each_column_carries_its_first_and_last_nonzero_row",)),
+    Mutant("src/oamclone/elements.py", "self.matrix.setflags(write=False)", "pass",
+           "an operator's matrix is read-only, so first and last cannot go stale",
+           ("tests/test_elements.py::TestApply::test_an_operator_matrix_is_a_read_only_copy",)),
+    Mutant("src/oamclone/fock.py", "self.amplitudes.setflags(write=False)", "pass",
+           "a two-photon state's S is read-only, so its occupied modes cannot go stale",
+           ("tests/test_fock.py::TestOccupiedModes::test_a_state_is_read_only",)),
     Mutant("src/oamclone/cloning.py", "phi.conj() @ clone.matrix @ phi",
            "phi @ clone.matrix @ phi.conj()", "the fidelity is <phi|clone|phi>",
            ("tests/test_cloning.py::TestOptimalCloning::test_fidelity_five_sixths_full_route",

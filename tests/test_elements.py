@@ -42,6 +42,24 @@ def _random_state(basis, rng):
     return PhotonState(basis, v / np.linalg.norm(v))
 
 
+def _scattering_permutation():
+    """(a checked permutation with random phases on the d = 24 basis, a pair on 25 random
+    modes), whose 25 reached rows are scattered over the 96."""
+    basis = cloning.label_basis(24)
+    assert basis.size == 96
+    rng = np.random.default_rng(41)
+    perm = rng.permutation(96)
+    mat = np.zeros((96, 96), dtype=complex)
+    mat[perm, np.arange(96)] = np.exp(2j * np.pi * rng.random(96))
+    op = elements.ElementOperator(basis, mat).validate()
+    occupied = rng.choice(96, size=25, replace=False)
+    u, v = (np.zeros(96, dtype=complex) for _ in range(2))
+    for w in (u, v):
+        w[occupied] = rng.normal(size=25) + 1j * rng.normal(size=25)
+    return op, fock.symmetrize_product(PhotonState(basis, u / np.linalg.norm(u)),
+                                       PhotonState(basis, v / np.linalg.norm(v)))
+
+
 class TestBeamSplitter:
     def test_single_photon_routing(self):
         # a photon's image is the splitter matrix times its amplitudes; apply is the
@@ -255,26 +273,66 @@ class TestApply:
 
     def test_at_the_gather_size_any_element_writes_only_the_rows_it_reaches(self):
         # a permutation with random phases scatters the reached rows over the basis
-        basis = cloning.label_basis(24)
-        assert basis.size == 96
-        rng = np.random.default_rng(41)
-        perm = rng.permutation(96)
-        mat = np.zeros((96, 96), dtype=complex)
-        mat[perm, np.arange(96)] = np.exp(2j * np.pi * rng.random(96))
-        op = elements.ElementOperator(basis, mat).validate()
-        occupied = rng.choice(96, size=25, replace=False)
-        u, v = (np.zeros(96, dtype=complex) for _ in range(2))
-        for w in (u, v):
-            w[occupied] = rng.normal(size=25) + 1j * rng.normal(size=25)
-        two = fock.symmetrize_product(PhotonState(basis, u / np.linalg.norm(u)),
-                                      PhotonState(basis, v / np.linalg.norm(v)))
+        op, two = _scattering_permutation()
+        mat = op.matrix
         out = apply(op, two).amplitudes
         dense = mat @ two.amplitudes @ mat.T
         assert np.max(np.abs(out - dense)) <= 16 * np.finfo(float).eps
         reached = np.zeros(96, dtype=bool)
-        reached[perm[occupied]] = True
+        reached[np.flatnonzero(mat[:, two.occupied].any(1))] = True
         assert reached.sum() == 25 and np.ptp(np.flatnonzero(reached)) > 50
         assert not out[~np.outer(reached, reached)].any()
+
+    @pytest.mark.parametrize("d", range(9, 25))
+    def test_at_the_gather_size_the_occupied_modes_are_those_of_s(self, d):
+        # the cloner's branches through the splitter, then the scattering permutation
+        basis, labels = cloning.label_basis(d), cloning.oam_labels(d)
+        rng = np.random.default_rng(d)
+        psi = superposition_state(basis, [(ModeIndex("a", "L", m), c) for m, c in
+                                          zip(labels, rng.normal(size=d) + 1j)])
+        states = [fock.symmetrize_product(psi, superposition_state(
+            basis, [(ModeIndex("b", "L", labels[j]), 1.0)])) for j in (0, d // 2, d - 1)]
+        states = [*states, *(apply(elements.splitter(basis), two) for two in states)]
+        if d == 24:
+            op, two = _scattering_permutation()
+            states += [two, apply(op, two)]
+        for state in states:
+            assert np.array_equal(state.occupied, np.flatnonzero(state.amplitudes.any(0)))
+
+    @pytest.mark.parametrize("d", [9, 24])
+    def test_the_product_is_the_same_with_and_without_carried_modes(self, d):
+        basis, labels = cloning.label_basis(d), cloning.oam_labels(d)
+        bs = elements.splitter(basis)
+        rng = np.random.default_rng(47)
+        psi = superposition_state(basis, [(ModeIndex("a", "L", m), c) for m, c in
+                                          zip(labels, rng.normal(size=d) + 1j)])
+        ancilla = superposition_state(basis, [(ModeIndex("b", "L", labels[1]), 1.0)])
+        carried = fock.symmetrize_product(psi, ancilla)
+        bare = fock.TwoPhotonState(basis, carried.amplitudes.copy())  # finds them from S
+        assert np.array_equal(apply(bs, carried).amplitudes, apply(bs, bare).amplitudes)
+        op, two = _scattering_permutation()
+        bare = fock.TwoPhotonState(two.basis, two.amplitudes.copy())
+        assert np.array_equal(apply(op, two).amplitudes, apply(op, bare).amplitudes)
+
+    def test_each_column_carries_its_first_and_last_nonzero_row(self):
+        basis = cloning.label_basis(24)
+        for op in (elements.splitter(basis), _scattering_permutation()[0],
+                   elements.ElementOperator(basis, np.zeros((96, 96)))):
+            for col in range(96):
+                rows = np.flatnonzero(op.matrix[:, col])
+                assert (op.first[col], op.last[col]) \
+                    == ((rows[0], rows[-1]) if rows.size else (0, 95))
+
+    def test_an_operator_matrix_is_a_read_only_copy(self):
+        bs = elements.splitter(cloning.label_basis(24))
+        with pytest.raises(ValueError, match="read-only"):
+            bs.matrix[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            bs.matrix *= 2.0
+        mat = np.eye(2, dtype=complex)
+        op = elements.ElementOperator(pol_basis(), mat)
+        mat[0, 0] = 2.0  # the caller's array stays writable, and apart
+        assert op.matrix[0, 0] == 1.0
 
     def test_at_the_gather_size_primed_inputs_reach_paths_a_and_b(self):
         basis, labels = cloning.label_basis(24), cloning.oam_labels(24)

@@ -398,6 +398,64 @@ class TestProjectKeys:
         with pytest.raises(BasisMismatchError):
             fock.project_keys(self._pair_on_a(), "a_prime")
 
+    def test_a_port_whose_modes_are_not_contiguous_is_rejected(self):
+        # a basis that is not path-major: path a's modes sit at 0 and 2
+        basis = fock.ModeBasis([ModeIndex("a", "L", 0), ModeIndex("b", "L", 0),
+                                ModeIndex("a", "L", 2)])
+        with pytest.raises(BasisMismatchError,
+                           match="no contiguous block of modes on path 'a'"):
+            basis.port("a")
+        assert basis.port("b")[1] == slice(1, 2)
+
+
+@pytest.mark.parametrize("basis", [
+    *(label_basis(d) for d in range(1, 25)),
+    build_basis(fock.PATHS, (-4, -2, 0, 2, 4), pols=("L",)),
+    build_basis(fock.PATHS, (-4, -2, 0, 2, 4)),
+], ids=[*(f"label-d{d}" for d in range(1, 25)), "one-pol", "two-pols"])
+def test_each_port_block_is_the_slice_of_its_np_ix_block(basis):
+    s = np.arange(basis.size ** 2).reshape(basis.size, basis.size)
+    for path in fock.PATHS:
+        sub, block = basis.port(path)
+        idx = [i for i, mode in enumerate(basis.modes) if mode.path == path]
+        assert isinstance(block, slice)
+        assert np.array_equal(s[block, block], s[np.ix_(idx, idx)])
+        assert sub.modes == tuple(basis.modes[i] for i in idx)
+
+
+class TestOccupiedModes:
+    @pytest.mark.parametrize("d", range(9, 25))
+    def test_the_gathered_product_carries_its_occupied_modes(self, d):
+        # the cloner's branches (the input on a, one ancilla label on b) and the
+        # disjoint, identical, full and partly shared pairs of _photon_pairs
+        basis = label_basis(d)
+        rng = np.random.default_rng(d)
+        pa = _photon(basis, rng, list(range(d)))
+        pairs = [(pa, _photon(basis, rng, [d + j])) for j in (0, d // 2, d - 1)]
+        for two in (symmetrize_product(*pair) for pair in [*pairs, *_photon_pairs(basis, rng)]):
+            assert np.array_equal(two.occupied, np.flatnonzero(two.amplitudes.any(0)))
+
+    def test_a_bare_state_finds_its_occupied_modes_from_s(self):
+        s = np.zeros((8, 8), dtype=complex)
+        s[[1, 6], [6, 1]] = 0.5
+        two = TwoPhotonState(label_basis(2), s)
+        assert two.occupied.tolist() == [1, 6]
+        assert two.occupied is two.occupied  # found once
+        assert TwoPhotonState(label_basis(2), np.zeros((8, 8))).occupied.size == 0
+
+    @pytest.mark.parametrize("d", [2, 24], ids=["dense", "gathered"])
+    def test_a_state_is_read_only(self, d):
+        # so the occupied modes it carries, or found once, cannot go stale
+        basis = label_basis(d)
+        rng = np.random.default_rng(5)
+        two = symmetrize_product(_photon(basis, rng, [0]), _photon(basis, rng, [d]))
+        kept, _ = fock.project_keys(elements.apply(elements.splitter(basis), two), "a_prime")
+        for state in (two, kept, TwoPhotonState(basis, np.zeros((4 * d, 4 * d)))):
+            with pytest.raises(ValueError, match="read-only"):
+                state.amplitudes[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                state.amplitudes *= 2.0
+
 
 class TestPureDensity:
     def test_eigenmode(self):
