@@ -1,7 +1,6 @@
-"""The balanced beam splitter, its checked cache, its two-photon action ``apply``, which
-reads the state's ``occupied`` modes and the operator's per-column row bounds, so no n x n
-pass precedes its product, and ``coalesce``: both photons leave by one port, the event
-whose rate is the HOM enhancement and whose one-photon marginal is the clone.
+"""The balanced beam splitter, its checked cache, its two-photon action ``apply``, which reads
+the state's ``occupied`` modes and the operator's row bounds (no n x n pass), and ``coalesce``:
+both photons leave by one port, the HOM-enhanced event whose one-photon marginal is the clone.
 
 Convention (frozen for reproducibility, see README): out_a' = (in_a + i F
 in_b)/sqrt(2), out_b' = (i F in_a + in_b)/sqrt(2), where F inverts the OAM

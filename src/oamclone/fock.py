@@ -1,13 +1,12 @@
 """Mode basis and one/two-photon bosonic state algebra.
 
-A single-photon mode is labelled by a spatial path, a circular polarization and an
-integer orbital-angular-momentum (OAM) value drawn from a finite truncation set.  A
-two-photon state is one dense complex symmetric matrix S over the n modes, |psi> =
-sum_ij S_ij adag_i adag_j |0>, 2 ||S||_F^2 = 1, read-only, with its ``occupied`` modes:
-``symmetrize_product`` carries them from its photons' supports.  An optical element M
-acts as S -> M S M^T, a port post-selection returns S's block on the port's modes, a
-slice (every basis is path-major), as a state over the port's sub-basis, and the reduced
-single-photon state is 2 S S^dag.  One rule each: the one amplitude rule,
+A single-photon mode is labelled by a spatial path, a circular polarization and an integer
+orbital-angular-momentum (OAM) value from a finite truncation set.  A two-photon state is one
+dense complex symmetric n x n matrix S, |psi> = sum_ij S_ij adag_i adag_j |0>, 2 ||S||_F^2 =
+1, read-only, with its ``occupied`` modes (``symmetrize_product`` carries its photons'
+supports).  An element M acts as S -> M S M^T, a port post-selection returns S's block on
+the port's modes (a slice on every basis the package builds) over the port's sub-basis, and
+the reduced single-photon state is 2 S S^dag.  One rule each: the one amplitude rule,
 ``qubit.normalized_amplitudes``, normalizes every photon, and ``checked_weight`` and
 ``check_total`` hold the weights of ``mix`` and ``elements.coalesce`` to a distribution.
 """
@@ -69,12 +68,14 @@ class ModeBasis:
         return len(self.modes)
 
     def port(self, path: str):
-        """(sub-basis of ``path``'s modes, the slice of its block), built once."""
+        """(sub-basis of ``path``'s modes, its block: slices if contiguous, else np.ix_), once."""
         if path not in self._ports:
             idx = [i for i, m in enumerate(self.modes) if m.path == path]
-            if not idx or idx[-1] - idx[0] != len(idx) - 1:
-                raise BasisMismatchError(f"no contiguous block of modes on path {path!r}")
-            self._ports[path] = ModeBasis(self.modes[i] for i in idx), slice(idx[0], idx[-1] + 1)
+            if not idx:
+                raise BasisMismatchError(f"no modes on path {path!r}")
+            run = slice(idx[0], idx[-1] + 1)
+            block = (run, run) if idx[-1] - idx[0] == len(idx) - 1 else np.ix_(idx, idx)
+            self._ports[path] = ModeBasis(self.modes[i] for i in idx), block
         return self._ports[path]
 
     def index(self, mode: ModeIndex) -> int:
@@ -135,21 +136,21 @@ def superposition_state(basis: ModeBasis, terms) -> PhotonState:
 class TwoPhotonState:
     """Bosonic two-photon state sum_ij S_ij adag_i adag_j |0> over a ModeBasis.
 
-    ``amplitudes`` holds the complex symmetric n x n matrix S; a normalized
-    state has 2 ||S||_F^2 = 1.  S is read-only, so ``occupied`` cannot go stale.
+    ``amplitudes`` holds the complex symmetric n x n matrix S; a normalized state has
+    2 ||S||_F^2 = 1.  S is read-only, so ``occupied`` cannot go stale, and not copied: a
+    complex array passed in becomes read-only itself (change it through no other view).
     """
 
-    def __init__(self, basis: ModeBasis, amplitudes, occupied=None):
+    def __init__(self, basis: ModeBasis, amplitudes):
         self.basis, self.amplitudes = basis, np.asarray(amplitudes, dtype=complex)
         if self.amplitudes.shape != (basis.size, basis.size):
             raise BasisMismatchError("coefficient matrix does not match basis size")
         self.amplitudes.setflags(write=False)
-        self._occupied = occupied
+        self._occupied = None
 
     @property
     def occupied(self) -> np.ndarray:
-        """The occupied modes, np.flatnonzero(S.any(0)): carried by the kernel that built S,
-        else found from S on the first read."""
+        """np.flatnonzero(S.any(0)), carried by the kernel that built S or else found once."""
         if self._occupied is None:
             self._occupied = np.flatnonzero(self.amplitudes.any(0))
         return self._occupied
@@ -190,7 +191,9 @@ def symmetrize_product(psi_a: PhotonState, psi_b: PhotonState) -> TwoPhotonState
     t = (u[k] * (0.5 / norm))[:, None] * v[k]
     s = np.zeros((n, n), dtype=complex)
     s[k[:, None], k] = t + t.T  # faster than np.ix_
-    return TwoPhotonState(psi_a.basis, s, k)
+    state = TwoPhotonState(psi_a.basis, s)
+    state._occupied = k  # k is S's occupied modes: found from u and v, not from S
+    return state
 
 
 def project_keys(state: TwoPhotonState, path: str) -> tuple:
@@ -202,7 +205,7 @@ def project_keys(state: TwoPhotonState, path: str) -> tuple:
     p > 1: the input was not normalized or an element was not unitary.
     """
     sub, block = state.basis.port(path)
-    s = state.amplitudes[block, block]
+    s = state.amplitudes[block]
     prob = 2.0 * float(np.vdot(s, s).real)
     if prob > 1.0 + NORM_ATOL:
         raise InvalidStateError(f"post-selection probability {prob} exceeds 1")

@@ -398,14 +398,17 @@ class TestProjectKeys:
         with pytest.raises(BasisMismatchError):
             fock.project_keys(self._pair_on_a(), "a_prime")
 
-    def test_a_port_whose_modes_are_not_contiguous_is_rejected(self):
+    def test_a_port_whose_modes_are_not_contiguous_is_gathered(self):
         # a basis that is not path-major: path a's modes sit at 0 and 2
         basis = fock.ModeBasis([ModeIndex("a", "L", 0), ModeIndex("b", "L", 0),
                                 ModeIndex("a", "L", 2)])
-        with pytest.raises(BasisMismatchError,
-                           match="no contiguous block of modes on path 'a'"):
-            basis.port("a")
-        assert basis.port("b")[1] == slice(1, 2)
+        s = np.zeros((3, 3), dtype=complex)
+        s[[0, 2], [2, 0]] = 0.5
+        kept, prob = fock.project_keys(TwoPhotonState(basis, s), "a")
+        assert prob == pytest.approx(1.0, abs=fock.NORM_ATOL)
+        assert kept.basis.modes == (basis.modes[0], basis.modes[2])
+        assert np.array_equal(kept.amplitudes, s[np.ix_([0, 2], [0, 2])] / math.sqrt(prob))
+        assert basis.port("b")[1] == (slice(1, 2), slice(1, 2))
 
 
 @pytest.mark.parametrize("basis", [
@@ -418,8 +421,8 @@ def test_each_port_block_is_the_slice_of_its_np_ix_block(basis):
     for path in fock.PATHS:
         sub, block = basis.port(path)
         idx = [i for i, mode in enumerate(basis.modes) if mode.path == path]
-        assert isinstance(block, slice)
-        assert np.array_equal(s[block, block], s[np.ix_(idx, idx)])
+        assert all(isinstance(run, slice) for run in block)
+        assert np.array_equal(s[block], s[np.ix_(idx, idx)])
         assert sub.modes == tuple(basis.modes[i] for i in idx)
 
 
@@ -439,6 +442,7 @@ class TestOccupiedModes:
         s = np.zeros((8, 8), dtype=complex)
         s[[1, 6], [6, 1]] = 0.5
         two = TwoPhotonState(label_basis(2), s)
+        assert two.amplitudes is s and not s.flags.writeable  # S is not copied
         assert two.occupied.tolist() == [1, 6]
         assert two.occupied is two.occupied  # found once
         assert TwoPhotonState(label_basis(2), np.zeros((8, 8))).occupied.size == 0

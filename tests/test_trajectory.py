@@ -1,10 +1,9 @@
-"""One block of ``tools/trajectory.py`` against HEAD: the A/B runs end to end and writes
+"""One block of ``tools/trajectory.py`` against HEAD: the A/B runs end to end and reports
 every case and ``src.loc``.  No timing is checked: one block on a shared host says
 nothing about speed."""
 
-import json
+import importlib.util
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -15,17 +14,22 @@ CASES = {"qudit_clone_d2", "qudit_clone_d8", "qudit_clone_d16", "qudit_clone_d24
          "elements.apply", "fock.project_keys", "fock.reduced_single_pure"}
 
 
-def test_one_block_against_head_writes_every_case(tmp_path):
+def _trajectory():
+    spec = importlib.util.spec_from_file_location("trajectory", ROOT / "tools" / "trajectory.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_block_against_head_reports_every_case():
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                           text=True)
     if head.returncode != 0:
         pytest.skip("not a git checkout")
-    out = tmp_path / "bench.json"
-    subprocess.run([sys.executable, str(ROOT / "tools" / "trajectory.py"), "--base", "HEAD",
-                    "--out", str(out), "--blocks", "1", "--calls", "1"],
-                   check=True, capture_output=True, timeout=300)
-    report = json.loads(out.read_text())
+    trajectory = _trajectory()
+    report = trajectory.compare("HEAD", 1, 1)
     assert report["base"] == head.stdout.strip()
+    assert report["seed"] == trajectory.SEED
     assert set(report["cases"]) == CASES
     for row in report["cases"].values():
         assert row["blocks"] == 1 and row["base_us"] > 0 and row["work_us"] > 0

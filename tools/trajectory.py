@@ -1,6 +1,6 @@
 """In-process A/B of the working tree against a base revision, layer by layer.
 
-    python tools/trajectory.py --base <rev> --out BENCH_<n>.json [--blocks 30] [--calls 40]
+    python tools/trajectory.py --base <rev> --out BENCH_<n>.json
 
 The base tree is exported with ``git archive`` into a temporary directory, both trees'
 packages are byte-compiled with ``compileall``, and both are loaded into this one
@@ -8,6 +8,7 @@ interpreter under distinct package names (``oamclone_base`` and ``oamclone_work`
 comparison is not confounded by import cost, stale bytecode or a host whose speed drifts
 between processes.  Each block times every case on both trees back to back, in an order
 that alternates from block to block, and the ratio work/base is taken per block.
+``BLOCKS``, ``CALLS`` and ``SEED`` are fixed, and recorded in the output.
 
 Cases: ``qudit_clone`` at d = 2, 8, 16 and 24, one ``qudit_scale`` cycle (d = 2, 4, 8,
 16, 24), one ``run_cloner_full``, and the four Fock layers (``symmetrize_product``,
@@ -44,6 +45,9 @@ DIMS = (2, 8, 16, 24)
 CYCLE_DIMS = (2, 4, 8, 16, 24)  # perfbench's qudit_scale cycle
 LAYER_D = 24  # n = 4d = 96 modes
 LAYER_REPEAT = 10  # a layer call is 10-100x shorter than a clone
+BLOCKS = 30
+CALLS = 40  # clone calls per timing; a layer timing makes LAYER_REPEAT times as many
+SEED = 0
 
 
 def git(*args) -> bytes:
@@ -61,6 +65,8 @@ def export(rev: str, target: Path) -> str:
 
 def load(src: Path, name: str):
     """The package under ``src/oamclone`` imported as ``name``, with its modules."""
+    for stale in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[stale]  # a second load in one process reads its own tree
     init = src / "oamclone" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)])
@@ -102,10 +108,10 @@ def haar(rng, d):
     return v / np.linalg.norm(v)
 
 
-def cases(pkg, seed: int):
+def cases(pkg):
     """{case: (calls per timing multiplier, zero-argument callable)} on one tree."""
     fock, elements, cloning, qudit = pkg.fock, pkg.elements, pkg.cloning, pkg.qudit
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     out = {}
     for d in DIMS:
         spec = qudit.QuditSpec(haar(rng, d))
@@ -140,8 +146,8 @@ def per_call_s(fn, calls: int) -> float:
     return (time.perf_counter() - start) / calls
 
 
-def measure(base, work, blocks: int, calls: int, seed: int):
-    trees = {"base": cases(base, seed), "work": cases(work, seed)}
+def measure(base, work, blocks: int, calls: int):
+    trees = {"base": cases(base), "work": cases(work)}
     for tree in trees.values():  # warm: caches filled, first-call costs paid
         for _, fn in tree.values():
             fn()
@@ -165,44 +171,45 @@ def measure(base, work, blocks: int, calls: int, seed: int):
     return report
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="revision to compare against")
-    parser.add_argument("--out", required=True, type=Path, help="JSON report to write")
-    parser.add_argument("--blocks", type=int, default=30)
-    parser.add_argument("--calls", type=int, default=40, help="clone calls per timing")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    if args.blocks < 1 or args.calls < 1:
-        parser.error("--blocks and --calls must be >= 1")
+def compare(rev: str, blocks: int, calls: int) -> dict:
+    """The report of ``blocks`` blocks of ``calls`` calls, working tree against ``rev``."""
     work_src = ROOT / "src"
     with tempfile.TemporaryDirectory() as tmp:
-        base_sha = export(args.base, Path(tmp))
+        base_sha = export(rev, Path(tmp))
         base_src = Path(tmp) / "src"
         for src in (base_src, work_src):
             compileall.compile_dir(src / "oamclone", quiet=1)
         base = load(base_src, "oamclone_base")
         work = load(work_src, "oamclone_work")
         started = time.time()
-        report = measure(base, work, args.blocks, args.calls, args.seed)
+        report = measure(base, work, blocks, calls)
         loc = {"base": source_lines(base_src), "work": source_lines(work_src)}
-    result = {
+    return {
         "base": base_sha,
         "work_src_sha256": source_digest(work_src),
-        "blocks": args.blocks,
-        "calls": args.calls,
-        "layer_calls": args.calls * LAYER_REPEAT,
-        "seed": args.seed,
+        "blocks": blocks,
+        "calls": calls,
+        "layer_calls": calls * LAYER_REPEAT,
+        "seed": SEED,
         "seconds": round(time.time() - started, 1),
         "host": {"cpu": cpu_model(), "cpus": os.cpu_count(),
                  "python": platform.python_version(), "numpy": np.__version__},
         "cases": report,
         "src.loc": {**loc, "delta": loc["work"] - loc["base"]},
     }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="revision to compare against")
+    parser.add_argument("--out", required=True, type=Path, help="JSON report to write")
+    args = parser.parse_args(argv)
+    result = compare(args.base, BLOCKS, CALLS)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
-    for case, row in report.items():
+    for case, row in result["cases"].items():
         print(f"{case:26} base {row['base_us']:10.2f} us  work {row['work_us']:10.2f} us  "
               f"x{row['ratio_median']:.3f}  faster {row['work_faster_blocks']}/{row['blocks']}")
+    loc = result["src.loc"]
     print(f"src.loc {loc['base']} -> {loc['work']}")
     return 0
 
